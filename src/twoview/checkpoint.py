@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .kb import Vocab
 from .model import CrossKind, ModelConfig, ModelParams
 from .tensor_ops import AffineMap
@@ -105,16 +105,27 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
-    """Read a checkpoint, validating magic, sizes and payload length."""
+    """Read a checkpoint, validating magic, sizes and payload length.
+
+    Every malformed file raises ``CheckpointError`` naming ``path``.
+    """
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    (header_len,) = struct.unpack("<Q", raw[8:16])
+    header_len = int.from_bytes(raw[8:16], "little")
+    if len(raw) < 16 or 16 + header_len > len(raw):
+        raise CheckpointError(f"{path}: file ends inside the header")
     try:
-        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable header ({exc})") from None
-    payload = raw[16 + header_len:]
+        return _decode(raw[16:16 + header_len], raw[16 + header_len:], path)
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise CheckpointError(
+            f"{path}: unreadable header ({type(exc).__name__}: {exc})") from None
+
+
+def _decode(header_bytes: bytes, payload: bytes, path):
+    header = json.loads(header_bytes.decode("utf-8"))
+    if not isinstance(header, dict):
+        raise TypeError("header is not a JSON object")
     if len(payload) != header["payload_nbytes"]:
         raise CheckpointError(
             f"{path}: payload is {len(payload)} bytes, header declares "

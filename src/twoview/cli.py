@@ -1,8 +1,7 @@
 """Command-line surface: prepare, train, eval, predict, export, check.
 
-Every command takes ``--config PATH`` plus the global overrides ``--seed``,
-``--deterministic`` and ``--out``.  See the README for the config schema
-and file formats.
+Every command takes ``--config PATH`` plus the global overrides ``--seed``
+and ``--out``.  See the README for the config schema and file formats.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ from .config import RunConfig, load_config
 from .errors import TwoViewError, UnknownSymbolError
 from .evaluation import (entity_typing_eval, long_tail_eval,
                          populate_relation_query, populate_triple_query,
-                         triple_completion_eval, typing_scores)
+                         top_tails, triple_completion_eval, typing_scores)
 from .kb import dataset_stats, entity_frequency, load_kb
-from .scoring import score_all_tails
+from .model import VIEW_TABLES
 from .training import train
 
 
@@ -111,7 +110,7 @@ def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
     out.mkdir(parents=True, exist_ok=True)
     settings = cfg.eval
     reports = []
-    typing_links = data.links_test
+    typing_vocabs = (data.entities, data.concepts)
     if task == "triples":
         for view in ("instance", "ontology"):
             rep = triple_completion_eval(
@@ -120,24 +119,24 @@ def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
                 view=view, direction=settings.direction, ks=settings.ks,
                 filter_mode=settings.filter_mode)
             rep.variant = model.variant
-            reports.append((f"report_triples_{view}.json", rep))
+            nodes, edges = (getattr(data, name) for name in VIEW_TABLES[view])
+            reports.append((f"report_triples_{view}.json", rep,
+                            (nodes, edges, nodes)))
     elif task == "typing":
         rep = entity_typing_eval(params, model, data.links_test,
                                  data.links_train, ks=settings.ks,
                                  filter_mode=settings.filter_mode)
-        reports.append(("report_typing.json", rep))
+        reports.append(("report_typing.json", rep, typing_vocabs))
     elif task == "longtail":
-        freq = entity_frequency(data.instance_train)
-        threshold = settings.longtail_threshold
-        rep = long_tail_eval(params, model, data.links_test, freq, threshold,
-                             data.links_train, ks=settings.ks)
-        typing_links = [(e, c) for e, c in data.links_test
-                        if freq.get(e, 0) < threshold]
-        reports.append(("report_longtail.json", rep))
+        rep = long_tail_eval(params, model, data.links_test,
+                             entity_frequency(data.instance_train),
+                             settings.longtail_threshold, data.links_train,
+                             ks=settings.ks)
+        reports.append(("report_longtail.json", rep, typing_vocabs))
     else:
         raise TwoViewError(f"unknown eval task {task!r}")
 
-    for fname, rep in reports:
+    for fname, rep, vocabs in reports:
         path = out / fname
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(rep.to_dict(), fh, indent=2, sort_keys=True)
@@ -145,34 +144,18 @@ def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
         print(f"{rep.task}: mrr={rep.mrr:.4f} "
               + " ".join(f"hits@{k}={v:.4f}" for k, v in sorted(rep.hits.items()))
               + f" n={rep.n_queries} -> {path}")
-        if dump_ranks and rep.ranks is not None:
+        if dump_ranks:
             dump = out / (fname.replace("report_", "ranks_")
                           .replace(".json", ".tsv"))
-            labels = _query_labels(data, rep.task, settings.direction,
-                                   typing_links)
             with open(dump, "w", encoding="utf-8") as fh:
-                for (query, gold), rank in zip(labels, rep.ranks):
-                    fh.write(f"{query}\t{gold}\t{rank}\n")
+                for (query, gold), rank in zip(rep.queries, rep.ranks):
+                    names = ["?" if i is None else v.name(i)
+                             for i, v in zip(query, vocabs)]
+                    # triples print as (h,r,?); typing queries as the entity
+                    label = f"({','.join(names)})" if len(names) == 3 else names[0]
+                    gold_name = vocabs[query.index(None)].name(gold)
+                    fh.write(f"{label}\t{gold_name}\t{rank}\n")
     return 0
-
-
-def _query_labels(data, task: str, direction: str,
-                  typing_links) -> list[tuple[str, str]]:
-    """(query, gold) labels in the order the evaluator emitted ranks."""
-    labels = []
-    if task.startswith("triple_completion"):
-        view = task.rsplit("_", 1)[-1]
-        nodes = data.entities if view == "instance" else data.concepts
-        edges = data.relations if view == "instance" else data.meta_relations
-        for h, r, t in getattr(data, f"{view}_test"):
-            labels.append((f"({nodes.name(h)},{edges.name(r)},?)", nodes.name(t)))
-            if direction == "both":
-                labels.append((f"(?,{edges.name(r)},{nodes.name(t)})",
-                               nodes.name(h)))
-    else:  # typing tasks: one query per (possibly sliced) test link
-        for e, c in typing_links:
-            labels.append((data.entities.name(e), data.concepts.name(c)))
-    return labels
 
 
 def _resolve(vocab, name: str, what: str) -> int:
@@ -213,10 +196,8 @@ def cmd_predict(cfg: RunConfig, checkpoint_path, query: list[str], k: int,
         head, relation = names
         h = _resolve(data.entities, head, "entity")
         r = _resolve(data.relations, relation, "relation")
-        scores = score_all_tails(model.intra, params.entities[h],
-                                 params.relations[r], params.entities)
-        order = np.argsort(-scores, kind="stable")[:k]
-        rows = [(data.entities.name(int(i)), float(scores[i])) for i in order]
+        rows = [(data.entities.name(i), s) for i, s in
+                top_tails(params, model.intra, h, r, k)]
         header = ("tail", "score")
     elif kind == "meta":
         concept, meta = names
@@ -301,8 +282,6 @@ def _add_common(parser):
     parser.add_argument("--config", required=True, help="config JSON path")
     parser.add_argument("--seed", type=int, default=None,
                         help="override every seed in the config")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force the deterministic single-threaded path")
     parser.add_argument("--out", default=None, help="override output directory")
 
 
@@ -365,7 +344,6 @@ def main(argv=None) -> int:
             return cmd_check(args.probes, args.seed, args.fault,
                              args.checkpoint, cfg)
         cfg = load_config(args.config, seed_override=args.seed,
-                          deterministic_override=args.deterministic,
                           output_override=args.out)
         if args.command == "prepare":
             return cmd_prepare(cfg)

@@ -103,7 +103,6 @@ def _margins_from(block: dict, model: ModelConfig | None) -> Margins:
 
 
 def load_config(path, seed_override: int | None = None,
-                deterministic_override: bool = False,
                 output_override: str | None = None) -> RunConfig:
     """Parse and validate a config file, applying CLI flag overrides."""
     try:
@@ -148,8 +147,6 @@ def load_config(path, seed_override: int | None = None,
         train = TrainConfig(**{**train.__dict__, "seed": seed_override})
         split = SplitSpec(split.train_frac, split.valid_frac, split.test_frac,
                           split.link_train_ratio, seed=seed_override)
-    if deterministic_override:
-        train = TrainConfig(**{**train.__dict__, "deterministic": True})
 
     eb = raw.get("eval", {})
     evalset = EvalSettings(

@@ -1,33 +1,34 @@
 """Ranking-based evaluation: filtered triple completion, entity typing,
 long-tail typing, and the two ontology-population query types.
 
-All tasks reduce to ranking a gold answer inside a candidate universe after
-removing filtered candidates.  Ties with the gold score are resolved
-mid-rank: rank = 1 + #better + ceil(#tied / 2), which is deterministic and
-biases neither optimistically nor pessimistically.
+``_rank`` places a gold answer among the unfiltered candidates, resolving
+ties mid-rank: rank = 1 + #better + ceil(#tied / 2), which is deterministic
+and biases neither optimistically nor pessimistically.  ``_top_k`` lists the
+best candidates, ties by ascending id.  Translational and multiplicative
+triple ranks equal ``rank_candidates`` over ``score`` exactly; correlational
+ranks come from the batched scores and may be one off on ulp-close ties.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import islice
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import ConfigError, EvalError
 from .kb import CrossLinkStore, TripleStore
-from .model import CrossKind, ModelConfig, ModelParams
-from .scoring import ScorerKind, score_all_heads, score_all_tails
+from .model import VIEW_TABLES, CrossKind, ModelConfig, ModelParams
+from .scoring import ScorerKind, score, score_all_heads, score_all_tails
 from .tensor_ops import AffineMap, affine_tanh, affine_tanh_pinv
-
-VIEW_TABLES = {"instance": ("entities", "relations"),
-               "ontology": ("concepts", "meta_relations")}
 
 
 @dataclass
 class EvalReport:
-    """Aggregates for one ranking task."""
+    """Aggregates for one ranking task.  ``queries[i]`` = (query ids with
+    None in the asked slot, gold id) is the query behind ``ranks[i]``."""
 
     task: str
     mrr: float
@@ -37,6 +38,7 @@ class EvalReport:
     filter_mode: str = "train"
     slice: dict | None = None
     ranks: list[int] | None = None
+    queries: list[tuple[tuple[int | None, ...], int]] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -76,19 +78,75 @@ def rank_candidates(scores: Mapping[int, float], gold: int,
     return 1 + better + math.ceil(tied / 2)
 
 
-def _rank_in_array(scores: np.ndarray, gold: int,
-                   filter_ids: Iterable[int] = ()) -> int:
-    """Array fast path of ``rank_candidates``; same rule, same result."""
-    keep = np.ones(scores.shape[0], dtype=bool)
-    for f in filter_ids:
-        keep[f] = False
-    if not keep[gold]:
-        raise EvalError("gold answer may not be in the filter set")
+def _rank(fast: np.ndarray, gold: int, filter_ids: Iterable[int] = (),
+          slack: tuple[float, float] | None = None,
+          exact: Callable[[int], float] | None = None) -> int:
+    """Mid-rank of ``gold`` by ``fast`` (higher is better) among all
+    candidates but ``filter_ids``; the gold itself is never filtered.
+
+    Without ``slack`` the rank is read off ``fast``.  With ``slack = (rel,
+    abs)`` such that |fast[c] - exact(c)| <= rel * |fast[c]| + abs, the gold
+    and every candidate within both bounds of it are re-scored with
+    ``exact``, and the rank equals ``rank_candidates`` over ``exact``.
+    Since |fast[c]| <= |fast[gold]| + |diff|, a candidate with |diff| >
+    width (below) is outside both bounds.
+    """
+    keep = np.ones(fast.shape[0], dtype=bool)
+    keep[list(filter_ids)] = False
     keep[gold] = False
-    gold_score = scores[gold]
-    better = int(np.count_nonzero(keep & (scores > gold_score)))
-    tied = int(np.count_nonzero(keep & (scores == gold_score)))
-    return 1 + better + math.ceil(tied / 2)
+    if slack is None:
+        better = int(np.count_nonzero(keep & (fast > fast[gold])))
+        tied = int(np.count_nonzero(keep & (fast == fast[gold])))
+        return 1 + better + math.ceil(tied / 2)
+    diff = fast - fast[gold]
+    rel, abs_ = slack
+    width = 2 * (rel * abs(float(fast[gold])) + abs_) / (1 - rel)
+    better = int(np.count_nonzero(keep & (diff > width)))
+    gold_score = exact(gold)
+    rescored = [exact(int(c)) for c in np.flatnonzero(keep & (np.abs(diff) <= width))]
+    better += sum(s > gold_score for s in rescored)
+    return 1 + better + math.ceil(sum(s == gold_score for s in rescored) / 2)
+
+
+def _top_k(scores: np.ndarray, k: int | None = None,
+           drop: Callable[[int], bool] = lambda c: False) -> list[int]:
+    """The ``k`` (default: all) best-scoring ids that ``drop`` keeps, best
+    first, ties by ascending id."""
+    ids = (int(c) for c in np.argsort(-scores, kind="stable"))
+    return list(islice((c for c in ids if not drop(c)), k))
+
+
+def _slack(kind: ScorerKind, anchor: np.ndarray, r: np.ndarray, heads: bool,
+           max_norm: float) -> tuple[float, float] | None:
+    """``_rank``'s (rel, abs) bound on |score_all_tails/heads - score| for
+    the query fixing ``anchor`` and ``r``; ``max_norm`` bounds every
+    candidate row's norm.  Correlational scores are ranked as they are.
+
+    With d the dimension, u the unit roundoff and gamma_m = m u / (1 - m u),
+    a sum of m terms each rounded once is off by at most gamma_m times the
+    sum of |terms|.  Indices below carry two spare terms, covering
+    second-order terms and the rounding of the bound itself.
+    * Translational tails: both paths build the same y = fl(fl(h + r) - t)
+      and differ only in summing its squares; each norm is within
+      gamma_{d+1} ||y||, and ||y|| <= |fast| / (1 - gamma_{d+1}).
+    * Translational heads: ``score_all_heads`` builds fl(h - fl(t - r)) and
+      ``score`` fl(fl(h + r) - t), each within u/(1-u) (|t - r| + |y_i|)
+      resp. u/(1-u) (|h + r| + |y_i|) of h + r - t per element; with
+      ||h + r|| <= ||y|| + ||t|| this adds gamma_2 (||t - r|| + ||t||).
+    * Multiplicative: each path rounds one product per element and sums d,
+      so |fast - score| <= 2 gamma_{d+1} sum_k |h_k r_k t_k|, which by
+      Cauchy-Schwarz is at most ||anchor o r|| times the candidate's norm.
+    """
+    u = np.finfo(anchor.dtype).eps / 2
+    m = anchor.shape[0] + 3
+    rel = 2 * m * u / (1 - 2 * m * u)       # 2 gamma_m / (1 - gamma_m)
+    a, r = anchor.astype(np.float64), r.astype(np.float64)
+    if kind is ScorerKind.TRANSLATIONAL:
+        extra = np.linalg.norm(a - r) + np.linalg.norm(a) if heads else 0.0
+        return rel, 2 * u / (1 - 2 * u) * float(extra)
+    if kind is ScorerKind.MULTIPLICATIVE:
+        return 0.0, rel * float(np.linalg.norm(a * r)) * max_norm
+    return None
 
 
 def _aggregate(task: str, ranks: list[int], ks=(1, 3, 10), **kw) -> EvalReport:
@@ -128,21 +186,39 @@ def triple_completion_eval(params: ModelParams, kind: ScorerKind,
         raise EvalError("test store is empty")
     if direction not in ("tail", "both"):
         raise EvalError(f"unknown direction {direction!r}")
-    node_table, edge_table = VIEW_TABLES[view]
-    nodes = params.table(node_table)
-    edges = params.table(edge_table)
+    nodes, edges = (params.table(name) for name in VIEW_TABLES[view])
     by_hr, by_rt = _triple_filter_index(filter_stores)
-    ranks = []
+    max_norm = (float(np.linalg.norm(nodes, axis=1).max())
+                if kind is ScorerKind.MULTIPLICATIVE else 0.0)
+    ranks, queries = [], []
     for h, r, t in test:
-        scores = score_all_tails(kind, nodes[h], edges[r], nodes)
-        filt = by_hr.get((h, r), ())
-        ranks.append(_rank_in_array(scores, t, (c for c in filt if c != t)))
+        fast = score_all_tails(kind, nodes[h], edges[r], nodes)
+        ranks.append(_rank(fast, t, by_hr.get((h, r), ()),
+                           _slack(kind, nodes[h], edges[r], False, max_norm),
+                           lambda c: score(kind, nodes[h], edges[r], nodes[c])))
+        queries.append(((h, r, None), t))
         if direction == "both":
-            scores = score_all_heads(kind, nodes, edges[r], nodes[t])
-            filt = by_rt.get((r, t), ())
-            ranks.append(_rank_in_array(scores, h, (c for c in filt if c != h)))
+            fast = score_all_heads(kind, nodes, edges[r], nodes[t])
+            ranks.append(_rank(fast, h, by_rt.get((r, t), ()),
+                               _slack(kind, nodes[t], edges[r], True, max_norm),
+                               lambda c: score(kind, nodes[c], edges[r], nodes[t])))
+            queries.append(((None, r, t), h))
     return _aggregate(f"triple_completion_{view}", ranks, ks,
-                      filter_mode=filter_mode)
+                      filter_mode=filter_mode, queries=queries)
+
+
+def top_tails(params: ModelParams, kind: ScorerKind, head: int, relation: int,
+              k: int, view: str = "instance",
+              filter_store: TripleStore | None = None
+              ) -> list[tuple[int, float]]:
+    """Top-k tails of ``(head, relation, ?)`` by intra-view score, best
+    first, ties by ascending id, except those forming a triple of
+    ``filter_store``."""
+    nodes, edges = (params.table(name) for name in VIEW_TABLES[view])
+    scores = score_all_tails(kind, nodes[head], edges[relation], nodes)
+    store = filter_store or ()
+    return [(c, float(scores[c])) for c in
+            _top_k(scores, k, lambda c: (head, relation, c) in store)]
 
 
 def typing_scores(params: ModelParams, config: ModelConfig,
@@ -153,8 +229,7 @@ def typing_scores(params: ModelParams, config: ModelConfig,
     transformed entity.  Ascending distance, stable by concept id on ties.
     """
     distances = concept_distances(params, config, entity)
-    order = np.argsort(distances, kind="stable")
-    return [(int(i), float(distances[i])) for i in order]
+    return [(c, float(distances[c])) for c in _top_k(-distances)]
 
 
 def concept_distances(params: ModelParams, config: ModelConfig,
@@ -176,18 +251,18 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
 
     For multi-label entities, the other gold concepts of the same entity
     that appear in the training link set are filtered from the candidates.
+    Ranks are read off ``concept_distances`` as they are.
     """
     if len(test_links) == 0:
         raise EvalError("test link store is empty")
-    ranks = []
+    ranks, queries = [], []
     for e, c in test_links:
         distances = concept_distances(params, config, e)
-        filt = ()
-        if train_links is not None:
-            filt = tuple(x for x in train_links.by_entity.get(e, ()) if x != c)
-        ranks.append(_rank_in_array(-distances, c, filt))
+        filt = train_links.by_entity.get(e, ()) if train_links is not None else ()
+        ranks.append(_rank(-distances, c, filt))
+        queries.append(((e, None), c))
     return _aggregate("entity_typing", ranks, ks, variant=config.variant,
-                      filter_mode=filter_mode)
+                      filter_mode=filter_mode, queries=queries)
 
 
 def long_tail_eval(params: ModelParams, config: ModelConfig,
@@ -237,32 +312,13 @@ def populate_relation_query(params: ModelParams, config: ModelConfig,
     v = tail_pre - head_pre
     distances = np.linalg.norm(params.relations.astype(np.float64) - v[None, :],
                                axis=1)
-    order = np.argsort(distances, kind="stable")[:k]
-    return [(int(i), float(distances[i])) for i in order]
+    return [(i, float(distances[i])) for i in _top_k(-distances, k)]
 
 
 def populate_triple_query(params: ModelParams, config: ModelConfig,
                           c_head: int, r_meta: int, k: int,
                           filter_store: TripleStore | None = None
                           ) -> list[tuple[int, float]]:
-    """Top-k tail concepts for an ontology-view query, by intra-view score.
-
-    Candidates forming triples already present in ``filter_store`` are
-    excluded.
-    """
-    scores = score_all_tails(config.intra, params.concepts[c_head],
-                             params.meta_relations[r_meta], params.concepts)
-    excluded = set()
-    if filter_store is not None:
-        for h, r, t in filter_store:
-            if h == c_head and r == r_meta:
-                excluded.add(t)
-    order = np.argsort(-scores, kind="stable")
-    out = []
-    for i in order:
-        if int(i) in excluded:
-            continue
-        out.append((int(i), float(scores[i])))
-        if len(out) == k:
-            break
-    return out
+    """Top-k tail concepts for an ontology-view query: ``top_tails``."""
+    return top_tails(params, config.intra, c_head, r_meta, k, view="ontology",
+                     filter_store=filter_store)

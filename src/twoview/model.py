@@ -83,6 +83,13 @@ def all_variants() -> list[str]:
     return out
 
 
+# table pairs (node table, edge table) per view
+VIEW_TABLES = {
+    "instance": ("entities", "relations"),
+    "ontology": ("concepts", "meta_relations"),
+}
+
+
 @dataclass
 class ModelParams:
     """All trainable arrays.

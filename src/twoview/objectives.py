@@ -15,15 +15,9 @@ import numpy as np
 
 from .errors import ConfigError, TwoViewError
 from .kb import Triple
-from .model import ModelParams
+from .model import VIEW_TABLES, ModelParams
 from .scoring import ScorerKind, score, score_grads
 from .tensor_ops import affine_tanh
-
-# table pairs (node table, edge table) per view
-VIEW_TABLES = {
-    "instance": ("entities", "relations"),
-    "ontology": ("concepts", "meta_relations"),
-}
 
 
 @dataclass(frozen=True)

@@ -122,10 +122,8 @@ def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
 class TrainConfig:
     """Everything the trainer needs besides the model variant itself.
 
-    ``deterministic`` pins the serial single-threaded path (the only one
-    implemented); it exists so configs can state the reproducibility intent
-    explicitly.  ``intra_enabled``/``cross_enabled`` freeze one side of the
-    alternating schedule, mainly for isolation tests.
+    ``intra_enabled``/``cross_enabled`` freeze one side of the alternating
+    schedule, mainly for isolation tests.
     """
 
     epochs: int = 120
@@ -138,7 +136,6 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     negative_ratio: int = 1
     seed: int = 0
-    deterministic: bool = True
     cross_negative_sampling: bool = True
     hierarchical_relations: tuple[str, ...] = ()
     checkpoint_interval: int = 0
@@ -336,7 +333,8 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     the final parameters and the per-epoch loss history.  When
     ``early_stop_patience`` is set and a validation split is present,
     training stops after that many epochs without filtered-MRR improvement
-    on the instance validation triples.
+    on the instance validation triples, and the parameters of the epoch
+    with the best validation MRR are returned instead.
     """
     if model_config.cross == CrossKind.GROUPING and model_config.d_e != model_config.d_c:
         raise ConfigError("CG requires d_e == d_c")
@@ -365,6 +363,7 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     log = logging.getLogger(__name__)
 
     best_mrr = -1.0
+    best_params = None
     stale = 0
     for epoch in range(config.epochs):
         report = train_epoch(params, state, data, model_config, config, rng,
@@ -378,6 +377,8 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
             rep = triple_completion_eval(params, model_config.intra,
                                          data.instance_valid,
                                          [data.instance_train], view="instance")
+            if best_params is None or rep.mrr > best_params[0]:
+                best_params = (rep.mrr, params.copy())
             if rep.mrr > best_mrr + 1e-4:
                 best_mrr = rep.mrr
                 stale = 0
@@ -388,4 +389,6 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     if stats.get("negative_saturation"):
         log.warning("negative sampling saturated %d time(s); the graph may be "
                     "too dense for valid negatives", stats["negative_saturation"])
+    if best_params is not None:
+        params = best_params[1]
     return params, history

@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from twoview.checkpoint import (check_vocab_hashes, fnv1a_64, load_checkpoint,
-                                save_checkpoint, vocab_hash)
+from twoview.checkpoint import (MAGIC, check_vocab_hashes, fnv1a_64,
+                                load_checkpoint, save_checkpoint, vocab_hash)
 from twoview.errors import CheckpointError
 from twoview.kb import Vocab
 from twoview.model import ModelConfig, ModelParams
@@ -68,21 +68,31 @@ class TestRoundTrip:
         assert loaded.ct_map is None and loaded.ha_map is None
 
 
-class TestValidation:
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.ckpt"
-        p.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(p)
+def _framed(header: bytes) -> bytes:
+    return MAGIC + struct.pack("<Q", len(header)) + header
 
-    def test_truncated_payload(self, tmp_path):
+
+# each case turns the bytes of a valid checkpoint into a malformed file
+MALFORMED = {
+    "bad-magic": lambda good: b"NOTMAGIC" + b"\x00" * 32,
+    "truncated-payload": lambda good: good[:-8],
+    "ten-bytes": lambda good: good[:10],
+    "empty-object-header": lambda good: _framed(b"{}"),
+    "list-header": lambda good: _framed(b"[]"),
+    "header-length-past-eof": lambda good: MAGIC + struct.pack("<Q", 64) + b"{}",
+}
+
+
+class TestValidation:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_rejected(self, tmp_path, case):
         config, params = make_params()
         p = tmp_path / "t.ckpt"
         save_checkpoint(p, params, config, HASHES, seed=0, epoch=0)
-        data = p.read_bytes()
-        p.write_bytes(data[:-8])
-        with pytest.raises(CheckpointError):
+        p.write_bytes(MALFORMED[case](p.read_bytes()))
+        with pytest.raises(CheckpointError) as exc:
             load_checkpoint(p)
+        assert str(p) in str(exc.value)
 
     def test_vocab_hash_mismatch_refused(self, tmp_path):
         config, params = make_params()

@@ -153,6 +153,34 @@ def test_eval_dump_and_determinism(workspace, tmp_path, capsys):
     assert report_path.read_bytes() == first
 
 
+def test_dump_ranks_labels_each_query(workspace, tmp_path, capsys):
+    root, cfg_path, config, _ = workspace
+    ckpt = Path(config["output_dir"]) / "checkpoint.ckpt"
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["eval"].update(direction="both", longtail_threshold=30)
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(cfg))
+    for task in ("triples", "longtail"):
+        assert main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                     "--task", task, "--dump-ranks"]) == 0
+    capsys.readouterr()
+    out = Path(cfg["output_dir"])
+    lines = [line.split("\t") for line in
+             (out / "ranks_triples_instance.tsv").read_text().splitlines()]
+    test = (Path(cfg["dataset"]["split_dir"]) / "instance_test.tsv").read_text()
+    h, r, t = test.splitlines()[0].split("\t")
+    assert lines[:2] == [[f"({h},{r},?)", t, lines[0][2]],
+                         [f"(?,{r},{t})", h, lines[1][2]]]
+    assert len(lines) == json.loads(
+        (out / "report_triples_instance.json").read_text())["n_queries"]
+    lines = (out / "ranks_longtail.tsv").read_text().splitlines()
+    report = json.loads((out / "report_longtail.json").read_text())
+    assert len(lines) == report["n_queries"] == report["slice"]["n_queries"]
+    entities = {line.split("\t")[0] for line in lines}
+    assert len(entities) == report["slice"]["n_entities"]
+
+
 def test_eval_refuses_wrong_dataset(workspace, tmp_path, capsys):
     root, cfg_path, config, _ = workspace
     ckpt = Path(config["output_dir"]) / "checkpoint.ckpt"
@@ -205,6 +233,13 @@ def test_config_validation(tmp_path):
     path2.write_text(json.dumps(bad2))
     with pytest.raises(ConfigError):
         load_config(path2)
+
+
+def test_removed_deterministic_key_rejected(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"train": {"deterministic": True}}))
+    with pytest.raises(ConfigError, match="deterministic"):
+        load_config(path)
 
 
 def test_config_margin_defaults(tmp_path):

@@ -12,9 +12,9 @@ from twoview.evaluation import (EvalReport, concept_distances,
                                 triple_completion_eval, typing_scores)
 from twoview.kb import CrossLinkStore, SplitSpec, Triple, TripleStore
 from twoview.model import ModelConfig, ModelParams
-from twoview.scoring import ScorerKind, score
+from twoview.scoring import ScorerKind, score, score_all_heads, score_all_tails
 from twoview.synth import random_kb
-from twoview.tensor_ops import affine_tanh
+from twoview.tensor_ops import affine_tanh, init_unit_sphere
 
 
 def sort_scan_rank(scores: dict, gold, filter_set=()):
@@ -152,6 +152,66 @@ class TestTripleCompletionEval:
                                      [data.instance_train])
         assert rep.hits[1] <= rep.hits[3] <= rep.hits[10]
         assert rep.mrr >= rep.hits[1]
+
+
+def plant_near_tie(kind, nodes, edges, query, twin, heads, rng):
+    """Move row ``twin`` a few ulps away from the gold row of ``query`` until
+    the batched scorer puts it strictly on one side of the gold and
+    ``score`` counts it on the other, so that a rank read off the batched
+    scores is off by one even where their exact ties are re-scored."""
+    h, r, t = query
+    gold = h if heads else t
+    for _ in range(1000):
+        away = np.where(rng.random(nodes.shape[1]) < 0.5, -np.inf, np.inf)
+        row = nodes[gold].copy()
+        for _ in range(4):
+            row = np.nextafter(row, away.astype(nodes.dtype))
+        nodes[twin] = row
+        if heads:
+            fast = score_all_heads(kind, nodes, edges[r], nodes[t])
+            exact = [score(kind, nodes[c], edges[r], nodes[t]) for c in (twin, gold)]
+        else:
+            fast = score_all_tails(kind, nodes[h], edges[r], nodes)
+            exact = [score(kind, nodes[h], edges[r], nodes[c]) for c in (twin, gold)]
+        if fast[twin] != fast[gold] and \
+                (fast[twin] > fast[gold]) != (exact[0] >= exact[1]):
+            return
+    raise AssertionError("no near-tie found")
+
+
+@pytest.mark.parametrize("kind", [ScorerKind.TRANSLATIONAL,
+                                  ScorerKind.MULTIPLICATIVE])
+def test_float32_ranks_match_score_oracle(kind):
+    """At d=300 in float32 the batched scores differ from ``score`` by an
+    ulp or so; with a candidate planted that close to the gold answer, both
+    directions' ranks must still equal ``rank_candidates`` over ``score``."""
+    rng = np.random.default_rng(31)
+    n, d, n_r, n_q = 5000, 300, 8, 6
+    nodes = init_unit_sphere(n, d, rng, np.float32)
+    edges = init_unit_sphere(n_r, d, rng, np.float32)
+    ids = rng.choice(n, 2 * n_q + 2, replace=False).tolist()
+    queries = [Triple(h, int(rng.integers(n_r)), t)
+               for h, t in zip(ids[:n_q], ids[n_q:2 * n_q])]
+    plant_near_tie(kind, nodes, edges, queries[0], ids[-2], False, rng)
+    plant_near_tie(kind, nodes, edges, queries[1], ids[-1], True, rng)
+    params = ModelParams(entities=nodes, relations=edges,
+                         concepts=np.zeros((1, 4), np.float32),
+                         meta_relations=np.zeros((1, 4), np.float32))
+    train = TripleStore([Triple(h, r, int(c)) for h, r, _ in queries
+                         for c in rng.choice(n, 3)]
+                        + [Triple(int(c), r, t) for _, r, t in queries
+                           for c in rng.choice(n, 3)])
+    rep = triple_completion_eval(params, kind, TripleStore(queries), [train],
+                                 direction="both")
+    oracle = []
+    for h, r, t in queries:
+        scores = {c: score(kind, nodes[h], edges[r], nodes[c]) for c in range(n)}
+        filt = {c for hh, rr, c in train if (hh, rr) == (h, r)} - {t}
+        oracle.append(rank_candidates(scores, t, filt))
+        scores = {c: score(kind, nodes[c], edges[r], nodes[t]) for c in range(n)}
+        filt = {c for c, rr, tt in train if (rr, tt) == (r, t)} - {h}
+        oracle.append(rank_candidates(scores, h, filt))
+    assert rep.ranks == oracle
 
 
 class TestTypingScores:
@@ -329,3 +389,21 @@ class TestEvalReport:
         assert set(d) == {"task", "variant", "mrr", "hits", "n_queries",
                           "slice", "filter_mode"}
         assert d["hits"]["10"] == 0.75
+
+    def test_queries_follow_ranks(self):
+        kb = random_kb(seed=8)
+        config, params = random_model(seed=1, n_e=len(kb.entities),
+                                      n_r=len(kb.relations), n_c=len(kb.concepts),
+                                      n_m=len(kb.meta_relations))
+        data = prepare_splits(kb, SplitSpec(seed=2))
+        rep = triple_completion_eval(params, config.intra, data.instance_test,
+                                     [], direction="both")
+        h, r, t = next(iter(data.instance_test))
+        assert rep.queries[:2] == [((h, r, None), t), ((None, r, t), h)]
+        assert len(rep.queries) == len(rep.ranks) == 2 * len(data.instance_test)
+        from twoview.kb import entity_frequency
+        freq = entity_frequency(data.instance_train)
+        rep = long_tail_eval(params, config, data.links_test, freq, 5,
+                             data.links_train)
+        assert rep.queries == [((e, None), c) for e, c in data.links_test
+                               if freq.get(e, 0) < 5]

@@ -1,0 +1,52 @@
+"""The benchmark's traced run (perfbench/) wraps package functions by name,
+on the module that looks them up at call time.  A target that is renamed,
+moved or no longer called with the arguments its hook expects is marked
+missing, and its per-layer metrics turn null.  This guard installs the same
+probe over one small training epoch per traced variant and one eval pass per
+traced task."""
+
+import sys
+from pathlib import Path
+
+from twoview.dataio import prepare_splits
+from twoview.evaluation import entity_typing_eval, triple_completion_eval
+from twoview.kb import SplitSpec
+from twoview.model import ModelConfig
+from twoview.objectives import Margins
+from twoview.synth import planted_kb
+from twoview.training import TrainConfig, train
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_trace_target_is_found():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    kb, _ = planted_kb()
+    data = prepare_splits(kb, SplitSpec(seed=5))
+    tracer = tracing.Tracer()
+    probe = tracing.Probe(tracer, workloads.targets())
+    probe.install()
+    try:
+        trained = {}
+        for variant in ("TransE-CT", "HAHolE-CT"):
+            model = ModelConfig.from_variant(variant, 16, 8)
+            config = TrainConfig(
+                epochs=1, seed=1, margins=Margins.defaults_for(model.intra),
+                hierarchical_relations=("subclass_of",) if model.hierarchy_aware
+                else ())
+            trained[variant] = model, train(data, model, config)[0]
+        model, params = trained["TransE-CT"]
+        triple_completion_eval(params, model.intra, data.instance_test,
+                               [data.instance_train], direction="both")
+        entity_typing_eval(params, model, data.links_test, data.links_train)
+    finally:
+        probe.uninstall()
+    assert tracer.missing == set()
+    for name in ("intra_loss", "ct_loss", "ha_loss", "score_all",
+                 "concept_distances", "circ.d16"):
+        assert tracer.agg(name).count > 0, name

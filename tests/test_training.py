@@ -3,6 +3,7 @@ import pytest
 
 from twoview.dataio import prepare_splits
 from twoview.errors import ConfigError, TwoViewError
+from twoview.evaluation import triple_completion_eval
 from twoview.kb import SplitSpec, Triple
 from twoview.model import ModelConfig, ModelParams
 from twoview.objectives import GradAccum, LossWeights, Margins
@@ -271,6 +272,31 @@ class TestTrain:
         cfg = quick_config(epochs=30, early_stop_patience=1)
         _, history = train(data, model, cfg)
         assert len(history) <= 30
+
+    def test_early_stop_returns_best_parameters(self, synth_data):
+        _, _, data = synth_data
+        model = ModelConfig.from_variant("TransE-CT", 16, 8)
+
+        def valid_mrr(params):
+            return triple_completion_eval(params, model.intra, data.instance_valid,
+                                          [data.instance_train]).mrr
+        seen = []
+        params, history = train(
+            data, model, quick_config(epochs=12, learning_rate=0.05,
+                                      early_stop_patience=2),
+            epoch_callback=lambda epoch, params, report: seen.append(valid_mrr(params)))
+        assert len(seen) == len(history) < 12
+        assert seen[-1] < max(seen)
+        assert valid_mrr(params) == max(seen)
+
+    def test_no_copies_without_early_stop(self, synth_data, monkeypatch):
+        _, _, data = synth_data
+        copies = []
+        original = ModelParams.copy
+        monkeypatch.setattr(ModelParams, "copy",
+                            lambda self: copies.append(1) or original(self))
+        train(data, ModelConfig.from_variant("TransE-CT", 16, 8), quick_config())
+        assert copies == []
 
     def test_negative_ratio(self, synth_data):
         _, _, data = synth_data
