@@ -12,6 +12,7 @@ was trained on.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -60,8 +61,12 @@ def _blocks_of(params: ModelParams) -> list[tuple[str, np.ndarray]]:
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     vocab_hashes: dict[str, str], seed: int, epoch: int) -> None:
-    """Write parameters and header to ``path`` (atomic rename not needed:
-    one writer per run)."""
+    """Write parameters and header to ``path``.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one rename, so a write that fails part-way leaves
+    any earlier checkpoint at ``path`` intact.
+    """
     blocks = _blocks_of(params)
     block_meta = []
     offset = 0
@@ -96,12 +101,21 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for data in payloads:
-            fh.write(data)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header_bytes)))
+            fh.write(header_bytes)
+            for data in payloads:
+                fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:

@@ -1,19 +1,24 @@
 """Ranking-based evaluation: filtered triple completion, entity typing,
 long-tail typing, and the two ontology-population query types.
 
-``_rank`` places a gold answer among the unfiltered candidates, resolving
-ties mid-rank: rank = 1 + #better + ceil(#tied / 2), which is deterministic
-and biases neither optimistically nor pessimistically.  ``_top_k`` lists the
-best candidates, ties by ascending id.  Translational and multiplicative
-triple ranks equal ``rank_candidates`` over ``score`` exactly; correlational
-ranks come from the batched scores and may be one off on ulp-close ties.
+``_rank`` places each gold answer of a block of queries among its
+unfiltered candidates, resolving ties mid-rank: rank = 1 + #better +
+ceil(#tied / 2), which is deterministic and biases neither optimistically
+nor pessimistically.  ``_top_k`` lists the best candidates, ties by
+ascending id.  A block holds at most ``BLOCK_ELEMENTS`` query x candidate
+scores.  Triple completion scores a block per direction with one matmul
+and filters it through sorted integer keys; typing ranks a block of
+per-entity ``concept_distances`` rows.  Translational and multiplicative triple ranks and
+``top_tails`` lists equal ``rank_candidates`` over ``score`` exactly;
+correlational ones come from the batched scores and may be one off on
+ulp-close ties.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -78,34 +83,54 @@ def rank_candidates(scores: Mapping[int, float], gold: int,
     return 1 + better + math.ceil(tied / 2)
 
 
-def _rank(fast: np.ndarray, gold: int, filter_ids: Iterable[int] = (),
-          slack: tuple[float, float] | None = None,
-          exact: Callable[[int], float] | None = None) -> int:
-    """Mid-rank of ``gold`` by ``fast`` (higher is better) among all
-    candidates but ``filter_ids``; the gold itself is never filtered.
+# Cap on one block's query x candidate score matrix: 2 MiB of float32.
+BLOCK_ELEMENTS = 1 << 19
 
-    Without ``slack`` the rank is read off ``fast``.  With ``slack = (rel,
-    abs)`` such that |fast[c] - exact(c)| <= rel * |fast[c]| + abs, the gold
-    and every candidate within both bounds of it are re-scored with
-    ``exact``, and the rank equals ``rank_candidates`` over ``exact``.
-    Since |fast[c]| <= |fast[gold]| + |diff|, a candidate with |diff| >
-    width (below) is outside both bounds.
+
+def _rank(fast: np.ndarray, gold, drop, width: np.ndarray | None = None,
+          exact: Callable[[int, int], float] | None = None) -> list[int]:
+    """Mid-rank of ``gold[i]`` by row i of ``fast`` (higher is better)
+    among all candidates but the (row, candidate) pairs indexed by
+    ``drop``; the gold itself is never filtered.
+
+    Without ``width`` the ranks are read off ``fast``.  With ``width[i]``
+    such that every candidate c with |fast[i, c] - fast[i, gold]| >
+    width[i] is ordered against the gold by ``fast`` as by ``exact(i, c)``
+    (``_slack``), the gold and every candidate inside the window are
+    re-scored with ``exact``, and the ranks equal ``rank_candidates`` over
+    ``exact``.
     """
-    keep = np.ones(fast.shape[0], dtype=bool)
-    keep[list(filter_ids)] = False
-    keep[gold] = False
-    if slack is None:
-        better = int(np.count_nonzero(keep & (fast > fast[gold])))
-        tied = int(np.count_nonzero(keep & (fast == fast[gold])))
-        return 1 + better + math.ceil(tied / 2)
-    diff = fast - fast[gold]
-    rel, abs_ = slack
-    width = 2 * (rel * abs(float(fast[gold])) + abs_) / (1 - rel)
-    better = int(np.count_nonzero(keep & (diff > width)))
-    gold_score = exact(gold)
-    rescored = [exact(int(c)) for c in np.flatnonzero(keep & (np.abs(diff) <= width))]
-    better += sum(s > gold_score for s in rescored)
-    return 1 + better + math.ceil(sum(s == gold_score for s in rescored) / 2)
+    rows = np.arange(len(gold))
+    keep = np.ones(fast.shape, dtype=bool)
+    keep[drop] = False
+    keep[rows, gold] = False
+    g = fast[rows, gold]
+    if width is None:
+        better = np.count_nonzero(keep & (fast > g[:, None]), axis=1)
+        tied = np.count_nonzero(keep & (fast == g[:, None]), axis=1)
+        return (1 + better + (tied + 1) // 2).tolist()
+    g = g.astype(np.float64)
+    above = fast > _outward(g + width, fast.dtype, np.inf)[:, None]
+    better = np.count_nonzero(keep & above, axis=1)
+    near = keep & ~above & (fast >= _outward(g - width, fast.dtype, -np.inf)[:, None])
+    tied = np.zeros_like(better)
+    gold_score = {}
+    for i, c in zip(*(ix.tolist() for ix in np.nonzero(near))):
+        if i not in gold_score:
+            gold_score[i] = exact(i, int(gold[i]))
+        s = exact(i, c)
+        better[i] += s > gold_score[i]
+        tied[i] += s == gold_score[i]
+    return (1 + better + (tied + 1) // 2).tolist()
+
+
+def _outward(x: np.ndarray, dtype, toward: float) -> np.ndarray:
+    """float64 ``x``, one rounding off a real bound, as the nearest value of
+    ``dtype`` on the far side of that bound in the direction ``toward``."""
+    x = np.nextafter(x, toward)
+    y = x.astype(dtype)
+    moved_in = y < x if toward > 0 else y > x
+    return np.where(moved_in, np.nextafter(y, np.asarray(toward, dtype)), y)
 
 
 def _top_k(scores: np.ndarray, k: int | None = None,
@@ -116,37 +141,87 @@ def _top_k(scores: np.ndarray, k: int | None = None,
     return list(islice((c for c in ids if not drop(c)), k))
 
 
+def _max_norm(table: np.ndarray) -> float:
+    """Largest row norm of ``table``, computed in its dtype."""
+    return float(np.sqrt(np.einsum("ij,ij->i", table, table).max()))
+
+
 def _slack(kind: ScorerKind, anchor: np.ndarray, r: np.ndarray, heads: bool,
-           max_norm: float) -> tuple[float, float] | None:
-    """``_rank``'s (rel, abs) bound on |score_all_tails/heads - score| for
-    the query fixing ``anchor`` and ``r``; ``max_norm`` bounds every
-    candidate row's norm.  Correlational scores are ranked as they are.
+           max_norm: float, gold_fast: np.ndarray) -> np.ndarray | None:
+    """``_rank``'s window half-width for each query row fixing ``anchor[i]``
+    (the head, or the tail if ``heads``) and ``r[i]``, whose gold answer has
+    the batched score ``gold_fast[i]``; ``max_norm`` bounds every candidate
+    row's norm.  Correlational scores are ranked as they are (None).
 
     With d the dimension, u the unit roundoff and gamma_m = m u / (1 - m u),
     a sum of m terms each rounded once is off by at most gamma_m times the
-    sum of |terms|.  Indices below carry two spare terms, covering
-    second-order terms and the rounding of the bound itself.
-    * Translational tails: both paths build the same y = fl(fl(h + r) - t)
-      and differ only in summing its squares; each norm is within
-      gamma_{d+1} ||y||, and ||y|| <= |fast| / (1 - gamma_{d+1}).
-    * Translational heads: ``score_all_heads`` builds fl(h - fl(t - r)) and
-      ``score`` fl(fl(h + r) - t), each within u/(1-u) (|t - r| + |y_i|)
-      resp. u/(1-u) (|h + r| + |y_i|) of h + r - t per element; with
-      ||h + r|| <= ||y|| + ||t|| this adds gamma_2 (||t - r|| + ||t||).
-    * Multiplicative: each path rounds one product per element and sums d,
-      so |fast - score| <= 2 gamma_{d+1} sum_k |h_k r_k t_k|, which by
-      Cauchy-Schwarz is at most ||anchor o r|| times the candidate's norm.
+    sum of |terms|.  e(c) bounds |fast(c) - score(c)| for a candidate c.
+    * Multiplicative: both paths round one product per element and sum d
+      terms, so e(c) <= 2 gamma_{d+1} sum_k |a_k r_k t_k|, which by
+      Cauchy-Schwarz is at most 2 gamma_{d+1} ||anchor o r|| max_norm = A
+      for every c, and the window is 2 A.  gamma_{d+3} / (1 - gamma_{d+3})
+      stands for gamma_{d+1}: the spare terms cover the rounding of
+      max_norm and of the bound itself.
+    * Translational: q = fl(h + r) for tails, fl(t - r) for heads; delta =
+      ||q - x_c|| for the candidate row x_c, sigma = sqrt(max(0, s2)) with
+      s2 the computed |q|^2 + |x_c|^2 - 2 q.x_c, and s = -fast(c) =
+      fl(sigma).  The three length-d sums and two additions give |s2 -
+      delta^2| <= gamma_{d+2} (||q|| + max_norm)^2 = E, and then |sigma -
+      delta| = |s2 - delta^2| / (sigma + delta) <= min(sqrt(E), E / sigma)
+      (clamping at 0 only narrows the gap), which is at most P(s) =
+      min(sqrt(E), E (1 + u) / s).  The final square root adds u sigma.
+      ``score`` computes fl(||fl(fl(h + r) - t)||), within gamma_{d+3} of
+      its own exact distance delta', and delta' = delta for tails.  For
+      heads fl(t - r) and fl(h + r) move delta' from delta by at most
+      u (delta + ||t|| + ||t - r||) plus second-order terms.  With delta <=
+      s / (1 - u) + sqrt(E) this gives e(c) <= P(s) + k s + B, where k =
+      gamma_{d+5} / (1 - u) and B = gamma_{d+5} sqrt(E), plus gamma_2
+      (||t|| + ||t - r||) for heads.
+      Window: with s_g the gold's s and e_g = e(gold), let W = c (e_g +
+      k s_g + B + P(max(0, s_g - W0))), W0 = c (e_g + k s_g + B + sqrt(E))
+      and c = 1 / (1 - k), so W <= W0.  A candidate with s > s_g + W has
+      e(c) <= P(s_g) + k s + B and s (1 - k) > s_g + e_g + P(s_g) + B, so
+      s - s_g > e(c) + e_g.  One with s < s_g - W has e(c) <= P(s) + k s_g
+      + B, and s_g - s - P(s) decreases in s (P is constant, then falls
+      with slope above -1), so s_g - s - P(s) > W - P(s_g - W0) >= e_g + k
+      s_g + B.  Either way |fast(c) - fast(gold)| > e(c) + e_g orders c
+      against the gold as ``score`` does.
+    Every bound is scaled by 1 + 2**-10.  That covers the second-order
+    terms (O(d u) relative), the rounding of max_norm and of the bound in
+    float64, and gradual underflow, whose absolute error (d + 2) times the
+    smallest subnormal is far below E for rows of any usable norm.
     """
     u = np.finfo(anchor.dtype).eps / 2
-    m = anchor.shape[0] + 3
-    rel = 2 * m * u / (1 - 2 * m * u)       # 2 gamma_m / (1 - gamma_m)
+    d = anchor.shape[1]
+    spare = 1 + 2.0 ** -10
+
+    def gamma(m):
+        return m * u / (1 - m * u)
+
     a, r = anchor.astype(np.float64), r.astype(np.float64)
-    if kind is ScorerKind.TRANSLATIONAL:
-        extra = np.linalg.norm(a - r) + np.linalg.norm(a) if heads else 0.0
-        return rel, 2 * u / (1 - 2 * u) * float(extra)
     if kind is ScorerKind.MULTIPLICATIVE:
-        return 0.0, rel * float(np.linalg.norm(a * r)) * max_norm
-    return None
+        rel = 2 * gamma(d + 3) / (1 - gamma(d + 3))
+        return 2 * rel * np.linalg.norm(a * r, axis=1) * max_norm * spare
+    if kind is not ScorerKind.TRANSLATIONAL:
+        return None
+    q = (anchor - r if heads else anchor + r).astype(np.float64)
+    q_norm = np.linalg.norm(q, axis=1)
+    e2 = gamma(d + 2) * (q_norm + max_norm) ** 2
+    root = np.sqrt(e2)
+    k = gamma(d + 5) / (1 - u)
+    b = gamma(d + 5) * root
+    if heads:
+        b += gamma(2) * (q_norm + np.linalg.norm(a, axis=1))
+
+    def p(s):
+        over = np.divide(e2 * (1 + u), s, out=np.full_like(s, np.inf), where=s > 0)
+        return np.minimum(root, over)
+
+    s = -gold_fast.astype(np.float64)
+    c = spare / (1 - k)
+    e_g = p(s) + k * s + b
+    w0 = c * (e_g + k * s + b + root)
+    return c * (e_g + k * s + b + p(np.maximum(s - w0, 0.0)))
 
 
 def _aggregate(task: str, ranks: list[int], ks=(1, 3, 10), **kw) -> EvalReport:
@@ -157,15 +232,31 @@ def _aggregate(task: str, ranks: list[int], ks=(1, 3, 10), **kw) -> EvalReport:
                       ranks=list(ranks), **kw)
 
 
-def _triple_filter_index(stores: Iterable[TripleStore]):
-    """(head, relation) -> tails and (relation, tail) -> heads maps."""
-    by_hr: dict[tuple[int, int], set[int]] = {}
-    by_rt: dict[tuple[int, int], set[int]] = {}
-    for store in stores:
-        for h, r, t in store:
-            by_hr.setdefault((h, r), set()).add(t)
-            by_rt.setdefault((r, t), set()).add(h)
-    return by_hr, by_rt
+def _triples(stores: Iterable[TripleStore]) -> np.ndarray:
+    """Every triple of ``stores`` as an (n, 3) int64 array, in store order."""
+    return np.fromiter(chain.from_iterable(chain.from_iterable(stores)),
+                       np.int64).reshape(-1, 3)
+
+
+def _filter_keys(stores: Iterable[TripleStore], n_edges: int, n_nodes: int):
+    """(keys, values) sorted by key: h * n_edges + r -> tails and
+    r * n_nodes + t -> heads over every triple of ``stores``."""
+    h, r, t = _triples(stores).T
+    out = []
+    for keys, values in ((h * n_edges + r, t), (r * n_nodes + t, h)):
+        order = np.argsort(keys)
+        out.append((keys[order], values[order]))
+    return out
+
+
+def _lookup(index, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, value) of every entry of ``index`` filed under ``keys[row]``."""
+    sorted_keys, values = index
+    lo = np.searchsorted(sorted_keys, keys, "left")
+    counts = np.searchsorted(sorted_keys, keys, "right") - lo
+    rows = np.repeat(np.arange(len(keys)), counts)
+    starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return rows, values[np.arange(len(rows)) + starts]
 
 
 def triple_completion_eval(params: ModelParams, kind: ScorerKind,
@@ -180,30 +271,40 @@ def triple_completion_eval(params: ModelParams, kind: ScorerKind,
     For each test triple, all candidate tails are scored; candidates that
     would form a triple present in the filter stores are excluded (never the
     gold); with ``direction="both"`` head queries are ranked too and
-    aggregated together.
+    aggregated together, each right after its triple's tail query.  Test
+    triples are scored in blocks of ``BLOCK_ELEMENTS // n`` rows, one
+    ``score_all_tails`` and one ``score_all_heads`` call per block.
     """
     if len(test) == 0:
         raise EvalError("test store is empty")
     if direction not in ("tail", "both"):
         raise EvalError(f"unknown direction {direction!r}")
     nodes, edges = (params.table(name) for name in VIEW_TABLES[view])
-    by_hr, by_rt = _triple_filter_index(filter_stores)
-    max_norm = (float(np.linalg.norm(nodes, axis=1).max())
-                if kind is ScorerKind.MULTIPLICATIVE else 0.0)
-    ranks, queries = [], []
-    for h, r, t in test:
-        fast = score_all_tails(kind, nodes[h], edges[r], nodes)
-        ranks.append(_rank(fast, t, by_hr.get((h, r), ()),
-                           _slack(kind, nodes[h], edges[r], False, max_norm),
-                           lambda c: score(kind, nodes[h], edges[r], nodes[c])))
-        queries.append(((h, r, None), t))
-        if direction == "both":
-            fast = score_all_heads(kind, nodes, edges[r], nodes[t])
-            ranks.append(_rank(fast, h, by_rt.get((r, t), ()),
-                               _slack(kind, nodes[t], edges[r], True, max_norm),
-                               lambda c: score(kind, nodes[c], edges[r], nodes[t])))
-            queries.append(((None, r, t), h))
-    return _aggregate(f"triple_completion_{view}", ranks, ks,
+    n_nodes, n_edges = nodes.shape[0], edges.shape[0]
+    by_hr, by_rt = _filter_keys(filter_stores, n_edges, n_nodes)
+    max_norm = _max_norm(nodes)
+    sides = (False, True) if direction == "both" else (False,)
+    triples = _triples([test])
+    ranks = np.empty((len(triples), len(sides)), dtype=np.int64)
+    step = max(1, BLOCK_ELEMENTS // n_nodes)
+    for start in range(0, len(triples), step):
+        h, r, t = triples[start:start + step].T
+        for j, heads in enumerate(sides):
+            if heads:
+                fast = score_all_heads(kind, nodes, edges[r], nodes[t])
+                gold, anchor, drop = h, t, _lookup(by_rt, r * n_nodes + t)
+                exact = lambda i, c: score(kind, nodes[c], edges[r[i]], nodes[t[i]])
+            else:
+                fast = score_all_tails(kind, nodes[h], edges[r], nodes)
+                gold, anchor, drop = t, h, _lookup(by_hr, h * n_edges + r)
+                exact = lambda i, c: score(kind, nodes[h[i]], edges[r[i]], nodes[c])
+            width = _slack(kind, nodes[anchor], edges[r], heads, max_norm,
+                           fast[np.arange(len(gold)), gold])
+            ranks[start:start + step, j] = _rank(fast, gold, drop, width, exact)
+            del fast    # one block's scores alive at a time
+    queries = [q for h, r, t in test
+               for q in (((h, r, None), t), ((None, r, t), h))[:len(sides)]]
+    return _aggregate(f"triple_completion_{view}", ranks.ravel().tolist(), ks,
                       filter_mode=filter_mode, queries=queries)
 
 
@@ -213,12 +314,29 @@ def top_tails(params: ModelParams, kind: ScorerKind, head: int, relation: int,
               ) -> list[tuple[int, float]]:
     """Top-k tails of ``(head, relation, ?)`` by intra-view score, best
     first, ties by ascending id, except those forming a triple of
-    ``filter_store``."""
+    ``filter_store``.
+
+    Translational and multiplicative lists are exact: the k listed by the
+    batched scores and every kept candidate within ``_slack``'s window of
+    the k-th are re-scored with ``score``, which orders them and gives the
+    listed scores.  Any other candidate is below all k listed ones.
+    """
     nodes, edges = (params.table(name) for name in VIEW_TABLES[view])
-    scores = score_all_tails(kind, nodes[head], edges[relation], nodes)
+    fast = score_all_tails(kind, nodes[head], edges[relation], nodes)
     store = filter_store or ()
-    return [(c, float(scores[c])) for c in
-            _top_k(scores, k, lambda c: (head, relation, c) in store)]
+
+    def drop(c):
+        return (head, relation, c) in store
+
+    listed = _top_k(fast, k, drop)
+    width = _slack(kind, nodes[[head]], edges[[relation]], False,
+                   _max_norm(nodes), fast[listed[-1:]]) if listed else None
+    if width is None:
+        return [(c, float(fast[c])) for c in listed]
+    floor = _outward(float(fast[listed[-1]]) - width, fast.dtype, -np.inf)
+    exact = {c: score(kind, nodes[head], edges[relation], nodes[c])
+             for c in np.flatnonzero(fast >= floor).tolist() if not drop(c)}
+    return sorted(exact.items(), key=lambda cs: (-cs[1], cs[0]))[:k]
 
 
 def typing_scores(params: ModelParams, config: ModelConfig,
@@ -251,18 +369,29 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
 
     For multi-label entities, the other gold concepts of the same entity
     that appear in the training link set are filtered from the candidates.
-    Ranks are read off ``concept_distances`` as they are.
+    Ranks are read off ``concept_distances``, one call per link, as they
+    are; blocks of ``BLOCK_ELEMENTS // n`` links are ranked together.
     """
     if len(test_links) == 0:
         raise EvalError("test link store is empty")
-    ranks, queries = [], []
-    for e, c in test_links:
-        distances = concept_distances(params, config, e)
-        filt = train_links.by_entity.get(e, ()) if train_links is not None else ()
-        ranks.append(_rank(-distances, c, filt))
-        queries.append(((e, None), c))
+    by_entity = train_links.by_entity if train_links is not None else {}
+    links = list(test_links)
+    n = params.concepts.shape[0]
+    row = np.dtype((np.result_type(params.concepts, params.entities), n))
+    step = max(1, BLOCK_ELEMENTS // n)
+    ranks = []
+    for start in range(0, len(links), step):
+        block = links[start:start + step]
+        fast = np.fromiter((concept_distances(params, config, e) for e, _ in block),
+                           row, len(block))
+        np.negative(fast, out=fast)
+        drop = [(i, c) for i, (e, _) in enumerate(block) for c in by_entity.get(e, ())]
+        ranks += _rank(fast, [c for _, c in block],
+                       tuple(np.array(drop, dtype=np.intp).reshape(-1, 2).T))
+        del fast    # one block's distances alive at a time
     return _aggregate("entity_typing", ranks, ks, variant=config.variant,
-                      filter_mode=filter_mode, queries=queries)
+                      filter_mode=filter_mode,
+                      queries=[((e, None), c) for e, c in links])
 
 
 def long_tail_eval(params: ModelParams, config: ModelConfig,

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from twoview import checkpoint
 from twoview.checkpoint import (MAGIC, check_vocab_hashes, fnv1a_64,
                                 load_checkpoint, save_checkpoint, vocab_hash)
 from twoview.errors import CheckpointError
@@ -66,6 +67,48 @@ class TestRoundTrip:
         save_checkpoint(path, params, config, HASHES, seed=0, epoch=0)
         loaded, config2, _ = load_checkpoint(path)
         assert loaded.ct_map is None and loaded.ha_map is None
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        config = ModelConfig.from_variant("TransE-CT", 16, 8)
+        params = ModelParams.init(config, 200, 5, 20, 3,
+                                  np.random.default_rng(2), dtype=np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, config, HASHES, seed=0, epoch=1)
+        before = path.read_bytes()
+        header_end = 16 + int.from_bytes(before[8:16], "little")
+        mid_payload = header_end + (len(before) - header_end) // 2
+
+        class DiskFull:
+            """Writes through until the middle of the payload, then raises."""
+
+            def __init__(self, fh):
+                self.fh, self.written = fh, 0
+
+            def write(self, data):
+                room = mid_payload - self.written
+                if len(data) > room:
+                    self.fh.write(data[:room])
+                    raise OSError("no space left on device")
+                self.written += self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda *a, **kw: DiskFull(open(*a, **kw)),
+                            raising=False)
+        params.entities *= 0.5
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, params, config, HASHES, seed=0, epoch=2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        monkeypatch.undo()
+        save_checkpoint(path, params, config, HASHES, seed=0, epoch=2)
+        assert load_checkpoint(path)[2]["epoch"] == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def _framed(header: bytes) -> bytes:

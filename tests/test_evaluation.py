@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from twoview import evaluation
 from twoview.dataio import prepare_splits
 from twoview.errors import ConfigError, EvalError
 from twoview.evaluation import (EvalReport, concept_distances,
                                 entity_typing_eval, long_tail_eval,
                                 populate_relation_query,
                                 populate_triple_query, rank_candidates,
-                                triple_completion_eval, typing_scores)
+                                top_tails, triple_completion_eval,
+                                typing_scores)
 from twoview.kb import CrossLinkStore, SplitSpec, Triple, TripleStore
 from twoview.model import ModelConfig, ModelParams
 from twoview.scoring import ScorerKind, score, score_all_heads, score_all_tails
@@ -214,6 +216,120 @@ def test_float32_ranks_match_score_oracle(kind):
     assert rep.ranks == oracle
 
 
+@pytest.mark.parametrize("kind", [ScorerKind.TRANSLATIONAL,
+                                  ScorerKind.MULTIPLICATIVE])
+def test_float32_ranks_exact_where_query_meets_candidates(kind):
+    """As in a trained TransE model, each gold tail and 30 other rows lie
+    within 1e-6 to 1e-3 of h + r.  There the expansion |q|^2 + |t|^2 - 2 q.t
+    loses most of its digits to cancellation, and ranks must still equal
+    ``rank_candidates`` over ``score`` in both directions."""
+    rng = np.random.default_rng(59)
+    n, d, n_r, n_q = 1000, 300, 4, 8
+    nodes = init_unit_sphere(n, d, rng, np.float32)
+    edges = (0.3 * init_unit_sphere(n_r, d, rng, np.float32)).astype(np.float32)
+    ids = rng.permutation(n).tolist()
+    queries = []
+    for i in range(n_q):
+        h, t, r = ids[2 * i], ids[2 * i + 1], int(rng.integers(n_r))
+        cluster = ids[2 * n_q + 30 * i:2 * n_q + 30 * (i + 1)]
+        for c in [t] + cluster:
+            step = rng.normal(size=d) * rng.uniform(1e-6, 1e-3) / np.sqrt(d)
+            nodes[c] = nodes[h] + edges[r] + step.astype(np.float32)
+        queries.append(Triple(h, r, t))
+    params = ModelParams(entities=nodes, relations=edges,
+                         concepts=np.zeros((1, 4), np.float32),
+                         meta_relations=np.zeros((1, 4), np.float32))
+    rep = triple_completion_eval(params, kind, TripleStore(queries), [],
+                                 direction="both")
+    oracle = []
+    for h, r, t in queries:
+        scores = {c: score(kind, nodes[h], edges[r], nodes[c]) for c in range(n)}
+        oracle.append(rank_candidates(scores, t))
+        scores = {c: score(kind, nodes[c], edges[r], nodes[t]) for c in range(n)}
+        oracle.append(rank_candidates(scores, h))
+    assert rep.ranks == oracle
+
+
+@pytest.mark.parametrize("kind", [ScorerKind.TRANSLATIONAL,
+                                  ScorerKind.MULTIPLICATIVE])
+def test_top_tails_exact_at_k_boundary(kind):
+    """With a candidate planted ulps away from the k-th best tail, so that
+    the batched scores order the two the other way round from ``score``,
+    ``top_tails`` still equals a stable sort over ``score`` of the
+    unfiltered candidates, scores included."""
+    rng = np.random.default_rng(47)
+    n, d, k, h, r = 2000, 300, 5, 0, 1
+    nodes = init_unit_sphere(n, d, rng, np.float32)
+    edges = init_unit_sphere(4, d, rng, np.float32)
+    store = TripleStore([Triple(h, r, int(c)) for c in rng.choice(n, 20)])
+
+    def oracle():
+        kept = [(c, score(kind, nodes[h], edges[r], nodes[c]))
+                for c in range(n) if (h, r, c) not in store]
+        return sorted(kept, key=lambda cs: -cs[1])
+
+    best = [c for c, _ in oracle()[:k + 1]]
+    twin = next(c for c in range(1, n)
+                if c not in best and (h, r, c) not in store)
+    plant_near_tie(kind, nodes, edges, Triple(h, r, best[k - 1]), twin,
+                   False, rng)
+    params = ModelParams(entities=nodes, relations=edges,
+                         concepts=np.zeros((1, 4), np.float32),
+                         meta_relations=np.zeros((1, 4), np.float32))
+    want = oracle()[:k]
+    assert twin in [c for c, _ in oracle()[:k + 1]]
+    assert top_tails(params, kind, h, r, k, filter_store=store) == want
+
+
+@pytest.mark.parametrize("kind", [ScorerKind.TRANSLATIONAL,
+                                  ScorerKind.MULTIPLICATIVE])
+def test_block_boundaries_keep_ranks_and_order(kind, monkeypatch):
+    """Blocks of 3 rows over 7 test triples (3 + 3 + 1), with exact ties
+    planted in the first and last blocks and filtered candidates in the
+    middle one: ranks equal ``rank_candidates`` over ``score`` and queries
+    list tail, then head, per triple."""
+    rng = np.random.default_rng(53)
+    n, d, n_r = 60, 16, 3
+    nodes = init_unit_sphere(n, d, rng, np.float32)
+    edges = init_unit_sphere(n_r, d, rng, np.float32)
+    ids = rng.permutation(n).tolist()
+    test = [Triple(ids[2 * i], int(rng.integers(n_r)), ids[2 * i + 1])
+            for i in range(7)]
+    free = ids[14:]
+    nodes[free[0]] = nodes[test[1].tail]
+    nodes[free[1]] = nodes[test[6].head]
+    train = TripleStore([triple for i in (3, 4, 5) for c in free[2 + 4 * i:6 + 4 * i]
+                         for triple in (Triple(test[i].head, test[i].relation, c),
+                                        Triple(c, test[i].relation, test[i].tail))])
+    params = ModelParams(entities=nodes, relations=edges,
+                         concepts=np.zeros((1, 4), np.float32),
+                         meta_relations=np.zeros((1, 4), np.float32))
+    rows = []
+    for name in ("score_all_tails", "score_all_heads"):
+        def counted(kind, a, r, b, _f=getattr(evaluation, name)):
+            rows.append(len(r))
+            return _f(kind, a, r, b)
+        monkeypatch.setattr(evaluation, name, counted)
+    monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", 3 * n)
+    rep = triple_completion_eval(params, kind, TripleStore(test), [train],
+                                 direction="both")
+    assert rows == [3, 3, 3, 3, 1, 1]
+    oracle, ties = [], []
+    for h, r, t in test:
+        for gold, cand, filt in (
+                (t, lambda c: score(kind, nodes[h], edges[r], nodes[c]),
+                 {c for hh, rr, c in train if (hh, rr) == (h, r)}),
+                (h, lambda c: score(kind, nodes[c], edges[r], nodes[t]),
+                 {c for c, rr, tt in train if (rr, tt) == (r, t)})):
+            scores = {c: cand(c) for c in range(n)}
+            oracle.append(rank_candidates(scores, gold, filt - {gold}))
+            ties.append(sum(s == scores[gold] for s in scores.values()) - 1)
+    assert ties[2] >= 1 and ties[13] >= 1
+    assert rep.ranks == oracle
+    assert rep.queries == [q for h, r, t in test
+                           for q in (((h, r, None), t), ((None, r, t), h))]
+
+
 class TestTypingScores:
     def test_ct_exact_projection_first(self):
         config, params = random_model(variant="TransE-CT")
@@ -286,6 +402,34 @@ class TestEntityTypingEval:
         config, params = random_model()
         with pytest.raises(EvalError):
             entity_typing_eval(params, config, CrossLinkStore())
+
+    def test_blocks_match_oracle(self, monkeypatch):
+        """9 links in blocks of 4 (4 + 4 + 1), with train-filtered concepts
+        in every block: ranks equal the oracle, queries keep link order."""
+        kb = random_kb(seed=5)
+        config, params = random_model(seed=6, variant="Mult-CT",
+                                      n_e=len(kb.entities), n_r=len(kb.relations),
+                                      n_c=len(kb.concepts), n_m=len(kb.meta_relations))
+        data = prepare_splits(kb, SplitSpec(seed=3))
+        rows = []
+
+        def counted(fast, *args, _rank=evaluation._rank):
+            rows.append(len(fast))
+            return _rank(fast, *args)
+        monkeypatch.setattr(evaluation, "_rank", counted)
+        monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", 4 * len(kb.concepts))
+        rep = entity_typing_eval(params, config, data.links_test, data.links_train)
+        assert rows == [4, 4, 1]
+        oracle, filtered = [], []
+        for e, c in data.links_test:
+            dists = concept_distances(params, config, e)
+            filt = set(data.links_train.by_entity.get(e, ())) - {c}
+            oracle.append(sort_scan_rank({i: -float(x) for i, x in enumerate(dists)},
+                                         c, filt))
+            filtered.append(len(filt))
+        assert all(sum(filtered[i:i + 4]) for i in (0, 4, 8))
+        assert rep.ranks == oracle
+        assert rep.queries == [((e, None), c) for e, c in data.links_test]
 
 
 class TestLongTailEval:

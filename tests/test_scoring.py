@@ -89,3 +89,15 @@ class TestVectorizedScoring:
         vec = score_all_heads(kind, heads, r, t)
         for i in range(9):
             assert abs(vec[i] - score(kind, heads[i], r, t)) < 1e-9
+
+    @pytest.mark.parametrize("kind", list(ScorerKind))
+    def test_query_block_matches_scalar(self, kind, rng):
+        h, r, t = (rng.normal(size=(4, 6)) for _ in range(3))
+        table = rng.normal(size=(9, 6))
+        tails = score_all_tails(kind, h, r, table)
+        heads = score_all_heads(kind, table, r, t)
+        assert tails.shape == heads.shape == (4, 9)
+        for i in range(4):
+            for j in range(9):
+                assert abs(tails[i, j] - score(kind, h[i], r[i], table[j])) < 1e-9
+                assert abs(heads[i, j] - score(kind, table[j], r[i], t[i])) < 1e-9
