@@ -46,12 +46,7 @@ def vocab_hash(vocab: Vocab) -> str:
 
 
 def _blocks_of(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    blocks = [
-        ("entities", params.entities),
-        ("relations", params.relations),
-        ("concepts", params.concepts),
-        ("meta_relations", params.meta_relations),
-    ]
+    blocks = [(name, params.table(name)) for name in ModelParams.TABLES]
     if params.ct_map is not None:
         blocks += [("ct_W", params.ct_map.W), ("ct_b", params.ct_map.b)]
     if params.ha_map is not None:
@@ -87,12 +82,8 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
         "variant": config.variant,
         "d_e": config.d_e,
         "d_c": config.d_c,
-        "vocab_sizes": {
-            "entities": params.entities.shape[0],
-            "relations": params.relations.shape[0],
-            "concepts": params.concepts.shape[0],
-            "meta_relations": params.meta_relations.shape[0],
-        },
+        "vocab_sizes": {name: params.table(name).shape[0]
+                        for name in ModelParams.TABLES},
         "vocab_hashes": vocab_hashes,
         "seed": seed,
         "epoch": epoch,
@@ -162,14 +153,8 @@ def _decode(header_bytes: bytes, payload: bytes, path):
     ha_map = None
     if config.hierarchy_aware:
         ha_map = AffineMap(arrays["ha_W"], arrays["ha_b"])
-    params = ModelParams(
-        entities=arrays["entities"],
-        relations=arrays["relations"],
-        concepts=arrays["concepts"],
-        meta_relations=arrays["meta_relations"],
-        ct_map=ct_map,
-        ha_map=ha_map,
-    )
+    params = ModelParams(**{name: arrays[name] for name in ModelParams.TABLES},
+                         ct_map=ct_map, ha_map=ha_map)
     return params, config, header
 
 

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import checkpoint as ckpt
 from . import dataio, diagnostics
 from .config import RunConfig, load_config
@@ -22,13 +20,13 @@ from .evaluation import (entity_typing_eval, long_tail_eval,
                          populate_relation_query, populate_triple_query,
                          top_tails, triple_completion_eval, typing_scores)
 from .kb import dataset_stats, entity_frequency, load_kb
-from .model import VIEW_TABLES
+from .model import VIEW_TABLES, ModelParams
 from .training import train
 
 
-def _vocab_hashes(data) -> dict[str, str]:
-    return {name: ckpt.vocab_hash(getattr(data, name))
-            for name in ("entities", "relations", "concepts", "meta_relations")}
+def _vocabs(data) -> dict:
+    """The split's vocabulary per parameter table, as checkpoints key them."""
+    return {name: getattr(data, name) for name in ModelParams.TABLES}
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
@@ -37,7 +35,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     data = dataio.prepare_splits(kb, cfg.split)
     out = cfg.split_dir or str(Path(cfg.output_dir) / "splits")
     dataio.write_split_dir(data, out, kb,
-                           list(cfg.hierarchical_relations) or None)
+                           list(cfg.train.hierarchical_relations) or None)
     stats = dataset_stats(kb).to_dict()
     print(json.dumps(stats, indent=2, sort_keys=True))
     print(f"prepared splits in {out}")
@@ -64,7 +62,7 @@ def cmd_train(cfg: RunConfig) -> int:
     data = dataio.load_split_dir(cfg.require_split_dir())
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    hashes = _vocab_hashes(data)
+    hashes = {name: ckpt.vocab_hash(v) for name, v in _vocabs(data).items()}
     interval = cfg.train.checkpoint_interval
 
     def save_epoch(epoch, params, report):
@@ -87,9 +85,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def _load_for_eval(cfg: RunConfig, checkpoint_path):
     data = dataio.load_split_dir(cfg.require_split_dir())
     params, model, header = ckpt.load_checkpoint(checkpoint_path)
-    ckpt.check_vocab_hashes(header, {
-        name: getattr(data, name)
-        for name in ("entities", "relations", "concepts", "meta_relations")})
+    ckpt.check_vocab_hashes(header, _vocabs(data))
     return data, params, model
 
 
@@ -255,14 +251,8 @@ def cmd_check(probes: int, seed: int, fault: str | None,
         params, _, header = ckpt.load_checkpoint(checkpoint_path)
         if cfg is not None and cfg.split_dir:
             data = dataio.load_split_dir(cfg.split_dir)
-            ckpt.check_vocab_hashes(header, {
-                name: getattr(data, name)
-                for name in ("entities", "relations", "concepts",
-                             "meta_relations")})
-        dev = 0.0
-        for table in (params.entities, params.concepts):
-            norms = np.linalg.norm(table.astype(np.float64), axis=1)
-            dev = max(dev, float(np.max(np.abs(norms - 1.0))))
+            ckpt.check_vocab_hashes(header, _vocabs(data))
+        dev = diagnostics.norm_drift(params)
         results.append(diagnostics.CheckResult(
             "checkpoint-norms", dev < 1e-5,
             f"max |norm - 1| over entity/concept rows = {dev:.3g}"))

@@ -14,24 +14,27 @@ Schema (all blocks optional unless a command needs them):
                 "link_train_ratio": 0.6, "seed": 0},
       "model": {"variant": "TransE-CT", "d_e": 300, "d_c": 50},
       "train": {"epochs": 120, "learning_rate": 0.001, ...},
-      "eval":  {"tasks": ["triples", "typing", "longtail"],
-                "longtail_threshold": 8, "ks": [1, 3, 10],
+      "eval":  {"longtail_threshold": 8, "ks": [1, 3, 10],
                 "filter_mode": "train", "direction": "tail"},
       "output_dir": "out"
     }
 
-Train-block keys mirror TrainConfig fields; margins may be given per loss
+Train-block keys mirror TrainConfig fields, with the loss weights given as
+"alpha1", "alpha2" and "omega"; margins may be given per loss
 ("margins": {"instance": ..., "ontology": ..., "cross": ..., "hierarchy": ...})
-and default to 0.5 for translational variants and 1.0 otherwise.
+and default to 0.5 for translational variants and 1.0 otherwise.  A key
+outside this schema, in any block, is an error, so a misspelt or removed
+key never falls back to a default silently.  Every error raised while
+reading a config names the file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, TwoViewError
 from .kb import SplitSpec
 from .model import CrossKind, ModelConfig
 from .objectives import LossWeights, Margins
@@ -40,16 +43,13 @@ from .training import TrainConfig
 
 @dataclass
 class EvalSettings:
-    tasks: tuple[str, ...] = ("triples", "typing")
     longtail_threshold: int = 8
     ks: tuple[int, ...] = (1, 3, 10)
     filter_mode: str = "train"
     direction: str = "tail"
 
     def __post_init__(self):
-        for t in self.tasks:
-            if t not in ("triples", "typing", "longtail"):
-                raise ConfigError(f"unknown eval task {t!r}")
+        self.ks = tuple(self.ks)
         if self.filter_mode not in ("train", "strict", "none"):
             raise ConfigError(f"unknown filter mode {self.filter_mode!r}")
         if self.direction not in ("tail", "both"):
@@ -64,7 +64,6 @@ class RunConfig:
     ontology_triples: str | None = None
     links: str | None = None
     split_dir: str | None = None
-    hierarchical_relations: tuple[str, ...] = ()
     split: SplitSpec = field(default_factory=SplitSpec)
     model: ModelConfig | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -90,92 +89,100 @@ class RunConfig:
         return self.model
 
 
-def _margins_from(block: dict, model: ModelConfig | None) -> Margins:
-    base = (Margins.defaults_for(model.intra) if model is not None else Margins())
-    if not block:
-        return base
-    return Margins(
-        instance=block.get("instance", base.instance),
-        ontology=block.get("ontology", base.ontology),
-        cross=block.get("cross", base.cross),
-        hierarchy=block.get("hierarchy", base.hierarchy),
-    )
+# split-block keys and the SplitSpec fields they set
+_SPLIT_FIELDS = {"train": "train_frac", "valid": "valid_frac",
+                 "test": "test_frac", "link_train_ratio": "link_train_ratio",
+                 "seed": "seed"}
+_WEIGHT_KEYS = {f.name for f in fields(LossWeights)}
+_BLOCK_KEYS = {
+    "top level": {"dataset", "split", "model", "train", "eval", "output_dir"},
+    "dataset": {"instance_triples", "ontology_triples", "links", "split_dir",
+                "hierarchical_relations"},
+    "split": set(_SPLIT_FIELDS),
+    "model": {"variant", "d_e", "d_c"},
+    # the loss weights sit flat in the train block, and the hierarchy
+    # relation names come from the dataset block
+    "train": ({f.name for f in fields(TrainConfig)}
+              - {"weights", "hierarchical_relations"} | _WEIGHT_KEYS),
+    "margins": {f.name for f in fields(Margins)},
+    "eval": {f.name for f in fields(EvalSettings)},
+}
+
+
+def _checked(block, name: str) -> dict:
+    """``block`` itself, once it is a JSON object with only known keys."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} block must be a JSON object")
+    unknown = set(block) - _BLOCK_KEYS[name]
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return block
 
 
 def load_config(path, seed_override: int | None = None,
                 output_override: str | None = None) -> RunConfig:
-    """Parse and validate a config file, applying CLI flag overrides."""
+    """Parse and validate a config file, applying CLI flag overrides.
+
+    Every malformed config raises ``ConfigError`` naming ``path``.
+    """
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    # a wrong-typed value fails inside the dataclass checks as a TypeError
+    try:
+        cfg = _parse(raw, seed_override, output_override)
+        _validate(cfg)
+    except (TwoViewError, TypeError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
+    return cfg
 
-    ds = raw.get("dataset", {})
-    sp = raw.get("split", {})
-    split = SplitSpec(
-        train_frac=sp.get("train", 0.85),
-        valid_frac=sp.get("valid", 0.05),
-        test_frac=sp.get("test", 0.10),
-        link_train_ratio=sp.get("link_train_ratio", 0.6),
-        seed=sp.get("seed", 0),
-    )
+
+def _parse(raw: dict, seed_override: int | None,
+           output_override: str | None) -> RunConfig:
+    _checked(raw, "top level")
+    ds = _checked(raw.get("dataset", {}), "dataset")
+    split = SplitSpec(**{_SPLIT_FIELDS[k]: v for k, v in
+                         _checked(raw.get("split", {}), "split").items()})
 
     model = None
-    mb = raw.get("model")
+    mb = _checked(raw.get("model", {}), "model")
     if mb:
         if "variant" not in mb:
             raise ConfigError("model block needs a \"variant\" string")
         model = ModelConfig.from_variant(mb["variant"], mb.get("d_e", 300),
                                          mb.get("d_c", 50))
 
-    tb = dict(raw.get("train", {}))
-    margins = _margins_from(tb.pop("margins", {}), model)
-    weights = LossWeights(alpha1=tb.pop("alpha1", 2.5),
-                          alpha2=tb.pop("alpha2", 1.0),
-                          omega=tb.pop("omega", 1.0))
-    hierarchical = tuple(ds.get("hierarchical_relations", ()))
-    known = {f.name for f in TrainConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    known -= {"margins", "weights", "hierarchical_relations"}
-    unknown = set(tb) - known
-    if unknown:
-        raise ConfigError(f"unknown train-block keys: {sorted(unknown)}")
+    tb = dict(_checked(raw.get("train", {}), "train"))
+    base = Margins.defaults_for(model.intra) if model is not None else Margins()
+    margins = replace(base, **_checked(tb.pop("margins", {}), "margins"))
+    weights = LossWeights(**{k: tb.pop(k) for k in _WEIGHT_KEYS if k in tb})
     train = TrainConfig(margins=margins, weights=weights,
-                        hierarchical_relations=hierarchical, **tb)
+                        hierarchical_relations=tuple(
+                            ds.get("hierarchical_relations", ())),
+                        **tb)
     if seed_override is not None:
-        train = TrainConfig(**{**train.__dict__, "seed": seed_override})
-        split = SplitSpec(split.train_frac, split.valid_frac, split.test_frac,
-                          split.link_train_ratio, seed=seed_override)
+        train = replace(train, seed=seed_override)
+        split = replace(split, seed=seed_override)
 
-    eb = raw.get("eval", {})
-    evalset = EvalSettings(
-        tasks=tuple(eb.get("tasks", ("triples", "typing"))),
-        longtail_threshold=eb.get("longtail_threshold", 8),
-        ks=tuple(eb.get("ks", (1, 3, 10))),
-        filter_mode=eb.get("filter_mode", "train"),
-        direction=eb.get("direction", "tail"),
-    )
-
-    cfg = RunConfig(
+    return RunConfig(
         instance_triples=ds.get("instance_triples"),
         ontology_triples=ds.get("ontology_triples"),
         links=ds.get("links"),
         split_dir=ds.get("split_dir"),
-        hierarchical_relations=hierarchical,
         split=split,
         model=model,
         train=train,
-        eval=evalset,
+        eval=EvalSettings(**_checked(raw.get("eval", {}), "eval")),
         output_dir=output_override or raw.get("output_dir", "out"),
     )
-    _validate(cfg)
-    return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
     if cfg.model is not None:
-        if cfg.model.hierarchy_aware and not cfg.hierarchical_relations:
+        if cfg.model.hierarchy_aware and not cfg.train.hierarchical_relations:
             raise ConfigError(
                 "hierarchy-aware variants need dataset.hierarchical_relations")
         if (cfg.model.cross == CrossKind.TRANSFORMATION

@@ -1,9 +1,10 @@
 """Self-check suite: finite-difference validation of every analytic
 gradient, the unit-norm audit, and the correlation fast-path comparison.
 
-Everything here runs in 64-bit at small dimensions.  Probe batches are
-resampled until they sit safely away from the hinge and norm kinks, where
-the losses are differentiable and central differences are meaningful.
+The gradient checks run in 64-bit at small dimensions; the norm audit runs
+``train()`` itself, in float32.  Probe batches are resampled until they sit
+safely away from the hinge and norm kinks, where the losses are
+differentiable and central differences are meaningful.
 """
 
 from __future__ import annotations
@@ -12,13 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kb import CrossLinkStore, HierarchyStore, Triple, TripleStore
-from .model import CrossKind, ModelConfig, ModelParams
+from .dataio import prepare_splits
+from .kb import SplitSpec, Triple
+from .model import ModelConfig, ModelParams
 from .objectives import (GradAccum, PairBatch, TripleBatch, cg_loss, ct_loss,
                          ha_loss, intra_hinge_loss)
 from .scoring import ScorerKind, score, score_grads
+from .synth import SUBCLASS, planted_kb
 from .tensor_ops import (AffineMap, affine_tanh, circ_correlation,
                          circ_correlation_fft, finite_diff_check)
+from .training import TrainConfig, train
 
 GRADIENT_GATE = 1e-4
 # Losses are checked at unit parameter scale; the step balances the eps^2
@@ -271,55 +275,30 @@ def check_cross_gradients(mode: str, n_probes: int = 50, seed: int = 0,
 # --------------------------------------------------------------------------
 # Norm audit and correlation comparison
 
-def norm_audit(n_steps: int = 100, seed: int = 0) -> float:
-    """Max |norm - 1| over entity/concept rows after optimizer steps on
-    random batches of every loss family."""
-    from .objectives import sample_negative_concept, sample_negative_triple
-    from .training import OptimizerState, amsgrad_step
-
-    rng = np.random.default_rng(seed)
-    config = ModelConfig(intra=ScorerKind.TRANSLATIONAL,
-                         cross=CrossKind.TRANSFORMATION, hierarchy_aware=True,
-                         d_e=16, d_c=8)
-    n_e, n_r, n_c, n_m = 30, 5, 10, 4
-    params = ModelParams.init(config, n_e, n_r, n_c, n_m, rng, dtype=np.float32)
-    state = OptimizerState.init(params)
-    instance = TripleStore(Triple(int(rng.integers(n_e)), int(rng.integers(n_r)),
-                                  int(rng.integers(n_e))) for _ in range(50))
-    links = CrossLinkStore((int(rng.integers(n_e)), int(rng.integers(n_c)))
-                           for _ in range(30))
-    hier = HierarchyStore()
-    while len(hier) < 6:
-        a, b = int(rng.integers(n_c)), int(rng.integers(n_c))
-        if a != b:
-            hier.add(a, b)
-
-    triples = list(instance)
-    link_list = list(links)
-    hier_list = list(hier)
-    for step in range(n_steps):
-        which = step % 3
-        if which == 0:
-            pos = [triples[int(rng.integers(len(triples)))] for _ in range(4)]
-            neg = [sample_negative_triple(p, instance, n_e, rng) for p in pos]
-            _, grads = intra_hinge_loss(ScorerKind.TRANSLATIONAL,
-                                        TripleBatch(pos, neg), 0.5, params,
-                                        "instance")
-        elif which == 1:
-            pos = [link_list[int(rng.integers(len(link_list)))] for _ in range(4)]
-            neg = [sample_negative_concept(e, c, links, n_c, rng) for e, c in pos]
-            _, grads = ct_loss(PairBatch(pos, neg), 0.5, params)
-        else:
-            pos = [hier_list[int(rng.integers(len(hier_list)))] for _ in range(4)]
-            neg = [sample_negative_concept(a, b, hier, n_c, rng) for a, b in pos]
-            _, grads = ha_loss(PairBatch(pos, neg), 0.5, params)
-        amsgrad_step(params, state, grads, 0.01)
-
+def norm_drift(params: ModelParams) -> float:
+    """Max |norm - 1| over entity and concept rows."""
     worst = 0.0
     for table in (params.entities, params.concepts):
         norms = np.linalg.norm(table.astype(np.float64), axis=1)
         worst = max(worst, float(np.max(np.abs(norms - 1.0))))
     return worst
+
+
+def norm_audit(seed: int = 0) -> float:
+    """Norm drift after one epoch of HATransE-CT training on the planted KB.
+
+    The epoch runs ``train()`` itself, so every loss family (instance,
+    ontology, hierarchy and CT) takes optimizer steps in the real schedule;
+    small batches make those steps many.
+    """
+    kb, _ = planted_kb()
+    data = prepare_splits(kb, SplitSpec(seed=seed))
+    config = TrainConfig(epochs=1, learning_rate=0.01, batch_instance=4,
+                         batch_ontology=4, batch_cross=4, batch_hierarchy=4,
+                         seed=seed, hierarchical_relations=(SUBCLASS,))
+    params, _ = train(data, ModelConfig.from_variant("HATransE-CT", 16, 8),
+                      config)
+    return norm_drift(params)
 
 
 def correlation_comparison(n_pairs: int = 100, dims=(4, 50, 300),

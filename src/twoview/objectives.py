@@ -125,16 +125,6 @@ class GradAccum:
             db *= s
         return self
 
-    def merge(self, other: "GradAccum") -> "GradAccum":
-        for (table, row), g in other.rows.items():
-            self.add_row(table, row, g)
-        for name, (dW, db) in other.maps.items():
-            self.add_map(name, dW, db)
-        return self
-
-    def is_empty(self) -> bool:
-        return not self.rows and not self.maps
-
 
 # --------------------------------------------------------------------------
 # Negative sampling

@@ -38,6 +38,10 @@ class _Moments:
         return cls(np.zeros_like(arr), np.zeros_like(arr), np.zeros_like(arr))
 
 
+# AMSGrad moment decay rates and the denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Per-parameter AMSGrad accumulators (first/second moment and the
@@ -46,13 +50,9 @@ class OptimizerState:
     tables: dict[str, _Moments]
     maps: dict[str, tuple[_Moments, _Moments]]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, params: ModelParams, beta1: float = 0.9, beta2: float = 0.999,
-             eps: float = 1e-8) -> "OptimizerState":
+    def init(cls, params: ModelParams) -> "OptimizerState":
         tables = {name: _Moments.like(params.table(name))
                   for name in ModelParams.TABLES}
         maps = {}
@@ -60,7 +60,7 @@ class OptimizerState:
             m = params.ct_map if name == "ct" else params.ha_map
             if m is not None:
                 maps[name] = (_Moments.like(m.W), _Moments.like(m.b))
-        return cls(tables=tables, maps=maps, beta1=beta1, beta2=beta2, eps=eps)
+        return cls(tables=tables, maps=maps)
 
 
 # rows of these tables are projected back to the unit sphere after each step
@@ -89,7 +89,7 @@ def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
         ids.append(row)
         gs.append(g)
 
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = BETA1, BETA2, EPS
     for table, (ids, gs) in by_table.items():
         arr = params.table(table)
         mom = state.tables[table]
@@ -122,8 +122,8 @@ def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
 class TrainConfig:
     """Everything the trainer needs besides the model variant itself.
 
-    ``intra_enabled``/``cross_enabled`` freeze one side of the alternating
-    schedule, mainly for isolation tests.
+    Every step pairs each positive with one sampled negative; setting
+    ``weights.omega`` to 0 drops the cross-view steps.
     """
 
     epochs: int = 120
@@ -134,22 +134,17 @@ class TrainConfig:
     learning_rate: float = 0.001
     margins: Margins = field(default_factory=Margins)
     weights: LossWeights = field(default_factory=LossWeights)
-    negative_ratio: int = 1
     seed: int = 0
     cross_negative_sampling: bool = True
     hierarchical_relations: tuple[str, ...] = ()
     checkpoint_interval: int = 0
     early_stop_patience: int | None = None
-    intra_enabled: bool = True
-    cross_enabled: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
             raise ConfigError("learning rate must be positive")
-        if self.negative_ratio < 1:
-            raise ConfigError("negative ratio must be >= 1")
         for name in ("batch_instance", "batch_ontology", "batch_cross",
                      "batch_hierarchy"):
             if getattr(self, name) < 1:
@@ -219,10 +214,6 @@ class _Sweep:
         return self.pos >= len(self.items)
 
 
-def _repeat_for_ratio(positives: list, ratio: int) -> list:
-    return positives if ratio == 1 else [p for p in positives for _ in range(ratio)]
-
-
 def train_epoch(params: ModelParams, state: OptimizerState, data: SplitDataset,
                 model_config: ModelConfig, config: TrainConfig,
                 rng: np.random.Generator,
@@ -245,16 +236,13 @@ def train_epoch(params: ModelParams, state: OptimizerState, data: SplitDataset,
     omega = config.weights.omega
     n_e = len(data.entities)
     n_c = len(data.concepts)
-    ratio = config.negative_ratio
 
-    sweeps: dict[str, _Sweep] = {}
-    if config.intra_enabled:
-        sweeps["instance"] = _Sweep(list(data.instance_train), config.batch_instance, rng)
-        if len(ontology_store):
-            sweeps["ontology"] = _Sweep(list(ontology_store), config.batch_ontology, rng)
-        if ha:
-            sweeps["hierarchy"] = _Sweep(list(hierarchy), config.batch_hierarchy, rng)
-    if config.cross_enabled and omega > 0 and len(data.links_train):
+    sweeps = {"instance": _Sweep(list(data.instance_train), config.batch_instance, rng)}
+    if len(ontology_store):
+        sweeps["ontology"] = _Sweep(list(ontology_store), config.batch_ontology, rng)
+    if ha:
+        sweeps["hierarchy"] = _Sweep(list(hierarchy), config.batch_hierarchy, rng)
+    if omega > 0 and len(data.links_train):
         sweeps["cross"] = _Sweep(list(data.links_train), config.batch_cross, rng)
 
     sums = {name: 0.0 for name in sweeps}
@@ -265,7 +253,7 @@ def train_epoch(params: ModelParams, state: OptimizerState, data: SplitDataset,
         # proportional round-robin: step the source that is least far along
         name = min((k for k in order if not sweeps[k].exhausted()),
                    key=lambda k: sweeps[k].batches_done / sweeps[k].n_batches)
-        positives = _repeat_for_ratio(sweeps[name].next_batch(), ratio)
+        positives = sweeps[name].next_batch()
 
         if name == "instance":
             negs = [sample_negative_triple(p, data.instance_train, n_e, rng, stats)
@@ -324,11 +312,11 @@ def train_epoch(params: ModelParams, state: OptimizerState, data: SplitDataset,
 
 
 def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
-          dtype=np.float32,
           epoch_callback=None) -> tuple[ModelParams, list[EpochReport]]:
     """Train a variant from fresh initialization.
 
-    Entity/concept/relation vectors start uniformly on the unit sphere,
+    Parameters are float32.  Entity/concept/relation vectors start uniformly
+    on the unit sphere,
     affine-map weights start random orthogonal with zero biases.  Returns
     the final parameters and the per-epoch loss history.  When
     ``early_stop_patience`` is set and a validation split is present,
@@ -355,8 +343,7 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
 
     rng = np.random.default_rng(config.seed)
     params = ModelParams.init(model_config, len(data.entities), len(data.relations),
-                              len(data.concepts), len(data.meta_relations),
-                              rng, dtype=dtype)
+                              len(data.concepts), len(data.meta_relations), rng)
     state = OptimizerState.init(params)
     history: list[EpochReport] = []
     stats: dict = {}

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ def workspace(tmp_path_factory):
         "train": {"epochs": 3, "learning_rate": 0.01, "batch_instance": 64,
                   "batch_ontology": 8, "batch_cross": 16, "batch_hierarchy": 8,
                   "seed": 2},
-        "eval": {"tasks": ["typing"], "ks": [1, 3, 10]},
+        "eval": {"ks": [1, 3, 10]},
         "output_dir": str(root / "out"),
     }
     cfg_path = root / "config.json"
@@ -238,7 +239,39 @@ def test_config_validation(tmp_path):
 def test_removed_deterministic_key_rejected(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"train": {"deterministic": True}}))
-    with pytest.raises(ConfigError, match="deterministic"):
+    with pytest.raises(ConfigError, match="deterministic") as exc:
+        load_config(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("block,key", [
+    ("train", "negative_ratio"), ("train", "intra_enabled"),
+    ("train", "cross_enabled"), ("eval", "tasks"), ("split", "sed"),
+    (None, "modle"),
+])
+def test_removed_or_misspelt_key_rejected(tmp_path, block, key):
+    """Removed settings and typos fail loudly in every block instead of
+    falling back to a default."""
+    cfg = {key: 1} if block is None else {block: {key: 1}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(path) in str(exc.value) and key in str(exc.value)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"split": {"train": 0.5}},
+    {"model": {"variant": "TransE-CT", "d_e": 0, "d_c": 4}},
+    {"train": {"epochs": 0}},
+    {"train": {"margins": {"instance": -1.0}}},
+    {"eval": {"direction": "sideways"}},
+    {"train": "fast"},
+])
+def test_invalid_value_error_names_file(tmp_path, cfg):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
         load_config(path)
 
 

@@ -40,10 +40,8 @@ def test_load_missing_dir_rejected(tmp_path):
 
 def test_eval_settings_validation():
     with pytest.raises(ConfigError):
-        EvalSettings(tasks=("nonsense",))
-    with pytest.raises(ConfigError):
         EvalSettings(filter_mode="loose")
     with pytest.raises(ConfigError):
         EvalSettings(direction="sideways")
-    ok = EvalSettings(tasks=("typing",), filter_mode="strict", direction="both")
+    ok = EvalSettings(filter_mode="strict", direction="both")
     assert ok.ks == (1, 3, 10)
