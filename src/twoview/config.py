@@ -24,8 +24,13 @@ Train-block keys mirror TrainConfig fields, with the loss weights given as
 ("margins": {"instance": ..., "ontology": ..., "cross": ..., "hierarchy": ...})
 and default to 0.5 for translational variants and 1.0 otherwise.  A key
 outside this schema, in any block, is an error, so a misspelt or removed
-key never falls back to a default silently.  Every error raised while
-reading a config names the file.
+key never falls back to a default silently.  Each value must have its
+field's JSON type: an integer for counts, dimensions, seeds and intervals,
+a number (an integer will do, ``true`` will not) for rates, fractions,
+margins and weights, ``true``/``false`` for ``cross_negative_sampling``,
+a list of strings for ``hierarchical_relations``.  Every error raised
+while reading a config names the file, and a wrong-typed value names its
+key.
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ class EvalSettings:
 
     def __post_init__(self):
         self.ks = tuple(self.ks)
+        if self.longtail_threshold < 1:
+            raise ConfigError(
+                f"longtail_threshold must be >= 1, got {self.longtail_threshold}")
+        if any(k < 1 for k in self.ks):
+            raise ConfigError(f"every ks entry must be >= 1, got {list(self.ks)}")
         if self.filter_mode not in ("train", "strict", "none"):
             raise ConfigError(f"unknown filter mode {self.filter_mode!r}")
         if self.direction not in ("tail", "both"):
@@ -93,29 +103,62 @@ class RunConfig:
 _SPLIT_FIELDS = {"train": "train_frac", "valid": "valid_frac",
                  "test": "test_frac", "link_train_ratio": "link_train_ratio",
                  "seed": "seed"}
+# the JSON value each field annotation takes: a type (float admits an
+# integer, and no number admits true or false), a tuple of alternatives,
+# or [shape] for an array of values of that shape
+_JSON_SHAPES = {"int": int, "float": float, "bool": bool, "str": str,
+                "int | None": (int, None), "tuple[int, ...]": [int]}
+
+
+def _shapes(cls, skip=()) -> dict:
+    """Field name -> JSON shape for the fields of dataclass ``cls``."""
+    return {f.name: _JSON_SHAPES[f.type] for f in fields(cls) if f.name not in skip}
+
+
+_SPLIT_SHAPES = _shapes(SplitSpec)
 _WEIGHT_KEYS = {f.name for f in fields(LossWeights)}
+# every key each block accepts, with the shape of its value
 _BLOCK_KEYS = {
-    "top level": {"dataset", "split", "model", "train", "eval", "output_dir"},
-    "dataset": {"instance_triples", "ontology_triples", "links", "split_dir",
-                "hierarchical_relations"},
-    "split": set(_SPLIT_FIELDS),
-    "model": {"variant", "d_e", "d_c"},
+    "top level": {"dataset": dict, "split": dict, "model": dict, "train": dict,
+                  "eval": dict, "output_dir": str},
+    "dataset": {"instance_triples": str, "ontology_triples": str, "links": str,
+                "split_dir": str, "hierarchical_relations": [str]},
+    "split": {k: _SPLIT_SHAPES[f] for k, f in _SPLIT_FIELDS.items()},
+    "model": {"variant": str, "d_e": int, "d_c": int},
     # the loss weights sit flat in the train block, and the hierarchy
     # relation names come from the dataset block
-    "train": ({f.name for f in fields(TrainConfig)}
-              - {"weights", "hierarchical_relations"} | _WEIGHT_KEYS),
-    "margins": {f.name for f in fields(Margins)},
-    "eval": {f.name for f in fields(EvalSettings)},
+    "train": (_shapes(TrainConfig, ("margins", "weights", "hierarchical_relations"))
+              | _shapes(LossWeights) | {"margins": dict}),
+    "margins": _shapes(Margins),
+    "eval": _shapes(EvalSettings),
 }
 
 
+def _fits(value, shape) -> bool:
+    """Whether a parsed JSON value has ``shape`` (see ``_JSON_SHAPES``)."""
+    if isinstance(shape, tuple):
+        return any(_fits(value, s) for s in shape)
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(v, shape[0]) for v in value)
+    if shape is None:
+        return value is None
+    if isinstance(value, bool):
+        return shape is bool
+    return isinstance(value, (int, float) if shape is float else shape)
+
+
 def _checked(block, name: str) -> dict:
-    """``block`` itself, once it is a JSON object with only known keys."""
+    """``block`` itself, once it is a JSON object with only known keys,
+    each holding a value of its shape."""
     if not isinstance(block, dict):
         raise ConfigError(f"{name} block must be a JSON object")
-    unknown = set(block) - _BLOCK_KEYS[name]
+    unknown = block.keys() - _BLOCK_KEYS[name].keys()
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    for key, value in block.items():
+        if not _fits(value, _BLOCK_KEYS[name][key]):
+            raise ConfigError(f"{name} key {key!r} has the wrong type: "
+                              f"{json.dumps(value)}")
     return block
 
 

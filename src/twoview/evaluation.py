@@ -275,13 +275,25 @@ def triple_completion_eval(params: ModelParams, kind: ScorerKind,
     triples are scored in blocks of ``BLOCK_ELEMENTS // n`` rows, one
     ``score_all_tails`` and one ``score_all_heads`` call per block.
     """
+    n_nodes, n_edges = (params.table(name).shape[0] for name in VIEW_TABLES[view])
+    return _ranked_triples(params, kind, test,
+                           _filter_keys(filter_stores, n_edges, n_nodes),
+                           view, direction, ks, filter_mode)
+
+
+def _ranked_triples(params: ModelParams, kind: ScorerKind, test: TripleStore,
+                    index, view: str = "instance", direction: str = "tail",
+                    ks=(1, 3, 10), filter_mode: str = "train") -> EvalReport:
+    """``triple_completion_eval`` with the filter stores' ``_filter_keys``
+    index built beforehand, so that a caller ranking many times against the
+    same stores builds it once."""
     if len(test) == 0:
         raise EvalError("test store is empty")
     if direction not in ("tail", "both"):
         raise EvalError(f"unknown direction {direction!r}")
     nodes, edges = (params.table(name) for name in VIEW_TABLES[view])
     n_nodes, n_edges = nodes.shape[0], edges.shape[0]
-    by_hr, by_rt = _filter_keys(filter_stores, n_edges, n_nodes)
+    by_hr, by_rt = index
     max_norm = _max_norm(nodes)
     sides = (False, True) if direction == "both" else (False,)
     triples = _triples([test])

@@ -1,12 +1,17 @@
-"""AMSGrad optimization with sparse updates, the alternating epoch schedule,
+"""AMSGrad optimization with sparse updates, the interleaved epoch schedule,
 and the unit-norm constraint on entity/concept rows.
 
-Within an epoch, batches from the instance graph, the ontology graph, the
-hierarchy pairs (when enabled) and the cross-view links are interleaved by a
-proportional round-robin, so every store is swept about once per epoch.
-Intra-view steps use the base learning rate (with the ontology and hierarchy
-gradients scaled by their loss weights); cross-view steps use omega times the
-base rate.
+An epoch sweeps the instance, ontology, hierarchy (hierarchy-aware variants)
+and cross-view (omega > 0) positives, in that source order, leaving out a
+source with none.  Each source draws one ``rng.permutation`` of its
+positives, in source order, and splits it into batches.  ``_schedule``
+interleaves the batches by proportional round-robin: the next step goes to
+the source least far along (batches done / its batch count), ties to the
+earlier source.  Intra-view steps use the base learning rate (ontology and
+hierarchy gradients scaled by their loss weights); cross-view steps use
+omega times it.  A non-finite gradient raises, before anything is written,
+``TwoViewError("epoch 2, instance batch 3 of 32: non-finite gradient for
+entities row 17")``.
 """
 
 from __future__ import annotations
@@ -55,11 +60,9 @@ class OptimizerState:
     def init(cls, params: ModelParams) -> "OptimizerState":
         tables = {name: _Moments.like(params.table(name))
                   for name in ModelParams.TABLES}
-        maps = {}
-        for name in ("ct", "ha"):
-            m = params.ct_map if name == "ct" else params.ha_map
-            if m is not None:
-                maps[name] = (_Moments.like(m.W), _Moments.like(m.b))
+        maps = {name: (_Moments.like(m.W), _Moments.like(m.b))
+                for name, m in (("ct", params.ct_map), ("ha", params.ha_map))
+                if m is not None}
         return cls(tables=tables, maps=maps)
 
 
@@ -76,25 +79,27 @@ def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
     rate * m / (sqrt(vhat) + eps).  Touched entity/concept rows are then
     projected back to unit norm; everything else is left bitwise unchanged.
     """
-    for (table, row), g in grads.rows.items():
-        if not np.all(np.isfinite(g)):
-            raise TwoViewError(f"non-finite gradient for {table} row {row}")
-    for name, (dW, db) in grads.maps.items():
-        if not (np.all(np.isfinite(dW)) and np.all(np.isfinite(db))):
-            raise TwoViewError(f"non-finite gradient for affine map {name!r}")
-
     by_table: dict[str, tuple[list[int], list[np.ndarray]]] = {}
     for (table, row), g in grads.rows.items():
         ids, gs = by_table.setdefault(table, ([], []))
         ids.append(row)
         gs.append(g)
+    blocks = []
+    for table, (ids, gs) in by_table.items():
+        g = np.asarray(gs, dtype=params.table(table).dtype)
+        finite = np.isfinite(g)
+        if not finite.all():
+            row = ids[int(np.argmin(finite.all(axis=1)))]
+            raise TwoViewError(f"non-finite gradient for {table} row {row}")
+        blocks.append((table, np.asarray(ids, dtype=np.intp), g))
+    for name, (dW, db) in grads.maps.items():
+        if not (np.isfinite(dW).all() and np.isfinite(db).all()):
+            raise TwoViewError(f"non-finite gradient for affine map {name!r}")
 
     b1, b2, eps = BETA1, BETA2, EPS
-    for table, (ids, gs) in by_table.items():
+    for table, idx, g in blocks:
         arr = params.table(table)
         mom = state.tables[table]
-        idx = np.asarray(ids, dtype=np.intp)
-        g = np.asarray(gs, dtype=arr.dtype)
         m_new = b1 * mom.m[idx] + (1.0 - b1) * g
         v_new = b2 * mom.v[idx] + (1.0 - b2) * g * g
         vhat_new = np.maximum(mom.vhat[idx], v_new)
@@ -141,14 +146,14 @@ class TrainConfig:
     early_stop_patience: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
             raise ConfigError("learning rate must be positive")
-        for name in ("batch_instance", "batch_ontology", "batch_cross",
-                     "batch_hierarchy"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        for name, low in (("epochs", 1), ("batch_instance", 1), ("batch_ontology", 1),
+                          ("batch_cross", 1), ("batch_hierarchy", 1), ("seed", 0),
+                          ("checkpoint_interval", 0), ("early_stop_patience", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -191,27 +196,15 @@ class EpochReport:
                              self.cross_loss, weights.omega)
 
 
-class _Sweep:
-    """One shuffled pass over a list of positives, yielded in batches."""
-
-    def __init__(self, items: list, batch_size: int, rng: np.random.Generator):
-        self.items = items
-        self.order = rng.permutation(len(items))
-        self.batch_size = batch_size
-        self.pos = 0
-        self.n_batches = max(1, -(-len(items) // batch_size)) if items else 0
-
-    @property
-    def batches_done(self) -> int:
-        return -(-self.pos // self.batch_size) if self.pos else 0
-
-    def next_batch(self) -> list:
-        chunk = self.order[self.pos:self.pos + self.batch_size]
-        self.pos += len(chunk)
-        return [self.items[i] for i in chunk]
-
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.items)
+def _schedule(batch_counts) -> np.ndarray:
+    """(source, batch) rows in ascending order of the key k / batch_counts[s]
+    of batch k of source s, ties to the lower s: the order in which always
+    stepping the source least far along (batches done / count) runs them."""
+    counts = np.asarray(batch_counts, dtype=np.int64)
+    source = np.repeat(np.arange(len(counts)), counts)
+    batch = np.arange(len(source)) - np.repeat(np.cumsum(counts) - counts, counts)
+    order = np.lexsort((source, batch / counts[source]))
+    return np.stack((source[order], batch[order]), axis=1)
 
 
 def train_epoch(params: ModelParams, state: OptimizerState, data: SplitDataset,
@@ -221,94 +214,77 @@ def train_epoch(params: ModelParams, state: OptimizerState, data: SplitDataset,
                 hierarchy: HierarchyStore | None = None,
                 stats: dict | None = None) -> EpochReport:
     """One pass over all training stores with interleaved optimizer steps.
-
-    ``ontology_store`` is the store actually swept for the ontology intra
-    loss (the residual store in hierarchy-aware mode); it defaults to the
-    full ontology train split.
-    """
+    ``ontology_store`` is the store swept for the ontology intra loss (the
+    residual store in hierarchy-aware mode; by default the train split)."""
     if ontology_store is None:
         ontology_store = data.ontology_train
     ha = model_config.hierarchy_aware
     if ha and (hierarchy is None or len(hierarchy) == 0):
         raise ConfigError("hierarchy-aware training requires extracted hierarchy pairs")
 
-    eta = config.learning_rate
-    omega = config.weights.omega
-    n_e = len(data.entities)
-    n_c = len(data.concepts)
+    kind, margins, weights = model_config.intra, config.margins, config.weights
+    eta, omega = config.learning_rate, weights.omega
+    n_e, n_c = len(data.entities), len(data.concepts)
+    links = data.links_train
+    sampled_cross = (model_config.cross == CrossKind.TRANSFORMATION
+                     or config.cross_negative_sampling)
 
-    sweeps = {"instance": _Sweep(list(data.instance_train), config.batch_instance, rng)}
-    if len(ontology_store):
-        sweeps["ontology"] = _Sweep(list(ontology_store), config.batch_ontology, rng)
-    if ha:
-        sweeps["hierarchy"] = _Sweep(list(hierarchy), config.batch_hierarchy, rng)
-    if omega > 0 and len(data.links_train):
-        sweeps["cross"] = _Sweep(list(data.links_train), config.batch_cross, rng)
+    # each step maps a batch of positives to (loss, gradients, rate)
+    def instance(pos):
+        negs = [sample_negative_triple(p, data.instance_train, n_e, rng, stats)
+                for p in pos]
+        loss, grads = intra_hinge_loss(kind, TripleBatch(pos, negs),
+                                       margins.instance, params, "instance")
+        return loss, grads, eta
 
-    sums = {name: 0.0 for name in sweeps}
-    counts = {name: 0 for name in sweeps}
-    order = [k for k in ("instance", "ontology", "hierarchy", "cross") if k in sweeps]
+    def ontology(pos):
+        negs = [sample_negative_triple(p, ontology_store, n_c, rng, stats)
+                for p in pos]
+        loss, grads = intra_hinge_loss(kind, TripleBatch(pos, negs),
+                                       margins.ontology, params, "ontology")
+        return loss, grads.scale(weights.alpha1), eta
 
-    while any(not s.exhausted() for s in sweeps.values()):
-        # proportional round-robin: step the source that is least far along
-        name = min((k for k in order if not sweeps[k].exhausted()),
-                   key=lambda k: sweeps[k].batches_done / sweeps[k].n_batches)
-        positives = sweeps[name].next_batch()
+    def hierarchy_step(pos):
+        negs = [sample_negative_concept(lo, hi, hierarchy, n_c, rng, stats)
+                for lo, hi in pos]
+        loss, grads = ha_loss(PairBatch(pos, negs), margins.hierarchy, params)
+        return loss, grads.scale(weights.alpha2), eta
 
-        if name == "instance":
-            negs = [sample_negative_triple(p, data.instance_train, n_e, rng, stats)
-                    for p in positives]
-            loss, grads = intra_hinge_loss(
-                model_config.intra, TripleBatch(positives, negs),
-                config.margins.instance, params, "instance")
-            amsgrad_step(params, state, grads, eta)
-        elif name == "ontology":
-            negs = [sample_negative_triple(p, ontology_store, n_c, rng, stats)
-                    for p in positives]
-            loss, grads = intra_hinge_loss(
-                model_config.intra, TripleBatch(positives, negs),
-                config.margins.ontology, params, "ontology")
-            amsgrad_step(params, state, grads.scale(config.weights.alpha1), eta)
-        elif name == "hierarchy":
-            negs = [sample_negative_concept(lo, hi, hierarchy, n_c, rng, stats)
-                    for lo, hi in positives]
-            loss, grads = ha_loss(PairBatch(positives, negs),
-                                  config.margins.hierarchy, params)
-            amsgrad_step(params, state, grads.scale(config.weights.alpha2), eta)
-        else:  # cross
-            if model_config.cross == CrossKind.TRANSFORMATION:
-                negs = [sample_negative_concept(e, c, data.links_train, n_c, rng, stats)
-                        for e, c in positives]
-                loss, grads = ct_loss(PairBatch(positives, negs),
-                                      config.margins.cross, params)
-            else:
-                if config.cross_negative_sampling:
-                    negs = [sample_negative_concept(e, c, data.links_train, n_c,
-                                                    rng, stats)
-                            for e, c in positives]
-                    loss, grads = cg_loss(PairBatch(positives, negs),
-                                          config.margins.cross, True, params)
-                else:
-                    loss, grads = cg_loss(PairBatch(positives),
-                                          config.margins.cross, False, params)
-            amsgrad_step(params, state, grads, omega * eta)
+    def cross(pos):     # without negatives, the CG pull-only form
+        batch = PairBatch(pos, [sample_negative_concept(e, c, links, n_c, rng, stats)
+                                for e, c in pos] if sampled_cross else None)
+        if model_config.cross == CrossKind.TRANSFORMATION:
+            return *ct_loss(batch, margins.cross, params), omega * eta
+        return *cg_loss(batch, margins.cross, sampled_cross, params), omega * eta
 
+    sources = [src for src in (
+        ("instance", data.instance_train.triples, config.batch_instance, instance),
+        ("ontology", ontology_store.triples, config.batch_ontology, ontology),
+        ("hierarchy", hierarchy.pairs if ha else [], config.batch_hierarchy,
+         hierarchy_step),
+        ("cross", links.links if omega > 0 else [], config.batch_cross, cross),
+    ) if src[1]]
+    orders = [rng.permutation(len(items)) for _, items, _, _ in sources]
+    n_batches = [-(-len(items) // size) for _, items, size, _ in sources]
+    sums = dict.fromkeys(("instance", "ontology", "hierarchy", "cross"), 0.0)
+    counts = dict.fromkeys(sums, 0)
+    for s, k in _schedule(n_batches).tolist():
+        name, items, size, step = sources[s]
+        positives = [items[i] for i in orders[s][k * size:(k + 1) * size]]
+        try:
+            loss, grads, rate = step(positives)
+            amsgrad_step(params, state, grads, rate)
+        except TwoViewError as exc:
+            exc.args = (f"{name} batch {k + 1} of {n_batches[s]}: {exc}",)
+            raise
         sums[name] += loss * len(positives)
         counts[name] += len(positives)
 
-    def mean(name):
-        return sums[name] / counts[name] if counts.get(name) else 0.0
-
-    return EpochReport(
-        instance_loss=mean("instance"),
-        ontology_loss=mean("ontology"),
-        hierarchy_loss=mean("hierarchy") if ha else None,
-        cross_loss=mean("cross"),
-        n_instance=counts.get("instance", 0),
-        n_ontology=counts.get("ontology", 0),
-        n_hierarchy=counts.get("hierarchy", 0),
-        n_cross=counts.get("cross", 0),
-    )
+    means = {name: sums[name] / counts[name] if counts[name] else 0.0
+             for name in sums}
+    return EpochReport(means["instance"], means["ontology"],
+                       means["hierarchy"] if ha else None, means["cross"],
+                       *counts.values())
 
 
 def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
@@ -316,10 +292,9 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     """Train a variant from fresh initialization.
 
     Parameters are float32.  Entity/concept/relation vectors start uniformly
-    on the unit sphere,
-    affine-map weights start random orthogonal with zero biases.  Returns
-    the final parameters and the per-epoch loss history.  When
-    ``early_stop_patience`` is set and a validation split is present,
+    on the unit sphere, affine-map weights random orthogonal with zero
+    biases.  Returns the final parameters and the per-epoch loss history.
+    When ``early_stop_patience`` is set and a validation split is present,
     training stops after that many epochs without filtered-MRR improvement
     on the instance validation triples, and the parameters of the epoch
     with the best validation MRR are returned instead.
@@ -347,23 +322,27 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     state = OptimizerState.init(params)
     history: list[EpochReport] = []
     stats: dict = {}
-    log = logging.getLogger(__name__)
 
-    best_mrr = -1.0
-    best_params = None
-    stale = 0
+    early_stop = config.early_stop_patience and len(data.instance_valid)
+    if early_stop:
+        from .evaluation import _filter_keys, _ranked_triples
+        index = _filter_keys([data.instance_train], len(data.relations),
+                             len(data.entities))
+    best_mrr, best_params, stale = -1.0, None, 0
     for epoch in range(config.epochs):
-        report = train_epoch(params, state, data, model_config, config, rng,
-                             ontology_store=ontology_store, hierarchy=hierarchy,
-                             stats=stats)
+        try:
+            report = train_epoch(params, state, data, model_config, config, rng,
+                                 ontology_store=ontology_store,
+                                 hierarchy=hierarchy, stats=stats)
+        except TwoViewError as exc:
+            exc.args = (f"epoch {epoch + 1}, {exc}",)
+            raise
         history.append(report)
         if epoch_callback is not None:
             epoch_callback(epoch, params, report)
-        if config.early_stop_patience and len(data.instance_valid):
-            from .evaluation import triple_completion_eval
-            rep = triple_completion_eval(params, model_config.intra,
-                                         data.instance_valid,
-                                         [data.instance_train], view="instance")
+        if early_stop:
+            rep = _ranked_triples(params, model_config.intra, data.instance_valid,
+                                  index)
             if best_params is None or rep.mrr > best_params[0]:
                 best_params = (rep.mrr, params.copy())
             if rep.mrr > best_mrr + 1e-4:
@@ -374,8 +353,9 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
                 if stale >= config.early_stop_patience:
                     break
     if stats.get("negative_saturation"):
-        log.warning("negative sampling saturated %d time(s); the graph may be "
-                    "too dense for valid negatives", stats["negative_saturation"])
+        logging.getLogger(__name__).warning(
+            "negative sampling saturated %d time(s); the graph may be too "
+            "dense for valid negatives", stats["negative_saturation"])
     if best_params is not None:
         params = best_params[1]
     return params, history

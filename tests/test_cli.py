@@ -260,19 +260,69 @@ def test_removed_or_misspelt_key_rejected(tmp_path, block, key):
     assert str(path) in str(exc.value) and key in str(exc.value)
 
 
-@pytest.mark.parametrize("cfg", [
-    {"split": {"train": 0.5}},
-    {"model": {"variant": "TransE-CT", "d_e": 0, "d_c": 4}},
-    {"train": {"epochs": 0}},
-    {"train": {"margins": {"instance": -1.0}}},
-    {"eval": {"direction": "sideways"}},
-    {"train": "fast"},
+@pytest.mark.parametrize("cfg,key", [
+    pytest.param({"split": {"train": 0.5}}, None, id="cfg0"),
+    pytest.param({"model": {"variant": "TransE-CT", "d_e": 0, "d_c": 4}}, "d_e",
+                 id="cfg1"),
+    pytest.param({"train": {"epochs": 0}}, "epochs", id="cfg2"),
+    pytest.param({"train": {"margins": {"instance": -1.0}}}, "instance", id="cfg3"),
+    pytest.param({"eval": {"direction": "sideways"}}, "direction", id="cfg4"),
+    pytest.param({"train": "fast"}, "train", id="cfg5"),
+    # wrong-typed values, and values outside their range
+    ({"dataset": {"hierarchical_relations": "subclass_of"}},
+     "hierarchical_relations"),
+    ({"dataset": {"hierarchical_relations": ["subclass_of", 3]}},
+     "hierarchical_relations"),
+    ({"model": {"variant": "TransE-CT", "d_e": 8.5, "d_c": 4}}, "d_e"),
+    ({"model": {"variant": 5}}, "variant"),
+    ({"train": {"epochs": 2.5}}, "epochs"),
+    ({"train": {"seed": 1.5}}, "seed"),
+    ({"train": {"learning_rate": True}}, "learning_rate"),
+    ({"train": {"batch_instance": True}}, "batch_instance"),
+    ({"train": {"omega": "1"}}, "omega"),
+    ({"train": {"cross_negative_sampling": "no"}}, "cross_negative_sampling"),
+    ({"train": {"checkpoint_interval": -1}}, "checkpoint_interval"),
+    ({"train": {"seed": -1}}, "seed"),
+    ({"train": {"early_stop_patience": -1}}, "early_stop_patience"),
+    ({"split": {"seed": "x"}}, "seed"),
+    ({"eval": {"ks": [0, -1]}}, "ks"),
+    ({"eval": {"ks": 10}}, "ks"),
+    ({"eval": {"longtail_threshold": 0}}, "longtail_threshold"),
+    ({"output_dir": 7}, "output_dir"),
 ])
-def test_invalid_value_error_names_file(tmp_path, cfg):
+def test_invalid_value_error_names_file(tmp_path, cfg, key):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
-    with pytest.raises(ConfigError, match=re.escape(str(path))):
+    with pytest.raises(ConfigError, match=re.escape(str(path))) as exc:
         load_config(path)
+    assert key is None or key in str(exc.value)
+
+
+def test_ints_stand_for_floats_and_null_for_no_patience(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"train": {"learning_rate": 1, "omega": 0,
+                                          "early_stop_patience": None}}))
+    cfg = load_config(path)
+    assert cfg.train.learning_rate == 1 and cfg.train.weights.omega == 0
+    assert cfg.train.early_stop_patience is None
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The README's config example passes the typed key table as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.json"
+    path.write_text(example)
+    raw = json.loads(example)
+    cfg = load_config(path)
+    assert cfg.model.variant == raw["model"]["variant"]
+    assert cfg.train.hierarchical_relations == tuple(
+        raw["dataset"]["hierarchical_relations"])
+    for key, value in raw["train"].items():
+        got = getattr(cfg.train.weights if key in ("alpha1", "alpha2", "omega")
+                      else cfg.train, key)
+        assert got == value, key
+    assert cfg.eval.ks == tuple(raw["eval"]["ks"])
 
 
 def test_config_margin_defaults(tmp_path):
@@ -330,3 +380,47 @@ def test_train_checkpoint_interval(workspace, tmp_path):
     assert (out / "checkpoint_epoch0001.ckpt").exists()
     assert (out / "checkpoint_epoch0002.ckpt").exists()
     assert (out / "checkpoint.ckpt").exists()
+
+
+def test_nonfinite_gradient_names_epoch_source_batch(workspace, tmp_path,
+                                                     monkeypatch, capsys):
+    """A NaN gradient row in epoch 2 stops `train` with exit code 2 and an
+    error naming the epoch, the source and the batch; the checkpoint saved
+    after epoch 1 is left intact."""
+    import numpy as np
+
+    from twoview import training
+    from twoview.checkpoint import load_checkpoint
+    _, cfg_path, _, _ = workspace
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["dataset"]["split_dir"] = str(tmp_path / "splits")
+    cfg["train"].update(checkpoint_interval=1, epochs=3)
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["prepare", "--config", str(path)]) == 0
+
+    epochs = []
+    real_epoch, real_loss = training.train_epoch, training.intra_hinge_loss
+
+    def counted_epoch(*args, **kwargs):
+        epochs.append(1)
+        return real_epoch(*args, **kwargs)
+
+    def nan_loss(*args):
+        loss, grads = real_loss(*args)
+        if len(epochs) == 2:
+            next(iter(grads.rows.values()))[:] = np.nan
+        return loss, grads
+    monkeypatch.setattr(training, "train_epoch", counted_epoch)
+    monkeypatch.setattr(training, "intra_hinge_loss", nan_loss)
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"epoch 2, instance batch 1 of \d+: non-finite gradient "
+                     r"for entities row \d+", err), err
+    out = Path(cfg["output_dir"])
+    params, _, header = load_checkpoint(out / "checkpoint_epoch0001.ckpt")
+    assert header["epoch"] == 1 and np.isfinite(params.entities).all()
+    assert not (out / "checkpoint_epoch0002.ckpt").exists()
+    assert not (out / "checkpoint.ckpt").exists()

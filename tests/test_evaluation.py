@@ -216,25 +216,65 @@ def test_float32_ranks_match_score_oracle(kind):
     assert rep.ranks == oracle
 
 
-@pytest.mark.parametrize("kind", [ScorerKind.TRANSLATIONAL,
-                                  ScorerKind.MULTIPLICATIVE])
-def test_float32_ranks_exact_where_query_meets_candidates(kind):
+def plant_cancelling_terms(nodes, edges, h, r, rows, rng):
+    """Give each of ``rows`` multiplicative terms h_k r_k t_k that are large
+    but cancel: |t| follows |h o r| (so Cauchy-Schwarz, which the window
+    uses, is nearly tight), with one half of the coordinates positive and
+    the other half negative and scaled to balance.  Float32 rounding then
+    uses a large share of gamma * sum |terms|.  Returns the row that the
+    batched scores misplace by the most candidates lying farther than 1e-3
+    of ``_slack``'s window from it."""
+    kind = ScorerKind.MULTIPLICATIVE
+    d = nodes.shape[1]
+    v = nodes[h].astype(np.float64) * edges[r]
+    half = np.where(np.arange(d) < d // 2, 1.0, -1.0)
+    for c in rows:
+        t = half * np.sign(v) * np.abs(v) * rng.uniform(1, 1.2, d)
+        terms = v * t
+        t[terms < 0] *= terms[terms > 0].sum() / -terms[terms < 0].sum()
+        nodes[c] = t / np.linalg.norm(t)
+    fast = score_all_tails(kind, nodes[h], edges[r], nodes).astype(np.float64)
+    exact = np.array([score(kind, nodes[h], edges[r], row) for row in nodes])
+    width = evaluation._slack(kind, nodes[[h]], edges[[r]], False,
+                              evaluation._max_norm(nodes), fast[[0]])[0]
+
+    def misplaced(g):
+        far = np.abs(fast - fast[g]) > 1e-3 * width
+        return abs(np.count_nonzero(far & (fast > fast[g]))
+                   - np.count_nonzero(far & (exact > exact[g])))
+    counts = [misplaced(g) for g in rows]
+    assert max(counts) > 0, "no misplaced gold found"
+    return rows[int(np.argmax(counts))]
+
+
+@pytest.mark.parametrize("kind,cancelling", [
+    (ScorerKind.TRANSLATIONAL, False), (ScorerKind.MULTIPLICATIVE, False),
+    (ScorerKind.MULTIPLICATIVE, True),
+], ids=["translational", "multiplicative", "multiplicative-cancelling"])
+def test_float32_ranks_exact_where_query_meets_candidates(kind, cancelling):
     """As in a trained TransE model, each gold tail and 30 other rows lie
     within 1e-6 to 1e-3 of h + r.  There the expansion |q|^2 + |t|^2 - 2 q.t
     loses most of its digits to cancellation, and ranks must still equal
-    ``rank_candidates`` over ``score`` in both directions."""
+    ``rank_candidates`` over ``score`` in both directions.  The cancelling
+    Mult case instead gives each gold tail and 150 other rows terms
+    h_k r_k t_k that cancel (``plant_cancelling_terms``); it fails when the
+    Mult window is cut to 1e-3 of its bound."""
     rng = np.random.default_rng(59)
     n, d, n_r, n_q = 1000, 300, 4, 8
     nodes = init_unit_sphere(n, d, rng, np.float32)
     edges = (0.3 * init_unit_sphere(n_r, d, rng, np.float32)).astype(np.float32)
     ids = rng.permutation(n).tolist()
     queries = []
-    for i in range(n_q):
+    for i in range(n_q // 2 if cancelling else n_q):
         h, t, r = ids[2 * i], ids[2 * i + 1], int(rng.integers(n_r))
-        cluster = ids[2 * n_q + 30 * i:2 * n_q + 30 * (i + 1)]
-        for c in [t] + cluster:
-            step = rng.normal(size=d) * rng.uniform(1e-6, 1e-3) / np.sqrt(d)
-            nodes[c] = nodes[h] + edges[r] + step.astype(np.float32)
+        if cancelling:
+            t = plant_cancelling_terms(nodes, edges, h, r,
+                                       ids[n_q + 150 * i:n_q + 150 * (i + 1)], rng)
+        else:
+            cluster = ids[2 * n_q + 30 * i:2 * n_q + 30 * (i + 1)]
+            for c in [t] + cluster:
+                step = rng.normal(size=d) * rng.uniform(1e-6, 1e-3) / np.sqrt(d)
+                nodes[c] = nodes[h] + edges[r] + step.astype(np.float32)
         queries.append(Triple(h, r, t))
     params = ModelParams(entities=nodes, relations=edges,
                          concepts=np.zeros((1, 4), np.float32),

@@ -50,3 +50,8 @@ def test_every_trace_target_is_found():
     for name in ("intra_loss", "ct_loss", "ha_loss", "score_all",
                  "concept_distances", "circ.d16"):
         assert tracer.agg(name).count > 0, name
+    # a call site that binds a wrapped function before the probe is
+    # installed would leave its metric at 0 instead of marking it missing
+    for name in ("sample", "amsgrad", "project", "contains", "score",
+                 "score_grads", "affine_tanh"):
+        assert tracer.total(name).count > 0, name

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from twoview import evaluation, training
 from twoview.dataio import prepare_splits
 from twoview.errors import ConfigError, TwoViewError
 from twoview.evaluation import triple_completion_eval
-from twoview.kb import SplitSpec, Triple
+from twoview.kb import SplitSpec, Triple, extract_hierarchy
 from twoview.model import ModelConfig, ModelParams
 from twoview.objectives import GradAccum, LossWeights, Margins
 from twoview.scoring import ScorerKind
 from twoview.synth import planted_kb
-from twoview.training import (OptimizerState, TrainConfig, amsgrad_step,
-                              train, train_epoch)
+from twoview.training import (OptimizerState, TrainConfig, _schedule,
+                              amsgrad_step, train, train_epoch)
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -113,6 +114,21 @@ class TestAmsgradStep:
             amsgrad_step(params, state, grads, 0.01)
         assert "entities" in str(exc.value)
 
+    def test_nonfinite_row_named_and_nothing_written(self):
+        # the bad row sits in the second table, after a finite one
+        params = small_params()
+        state = OptimizerState.init(params)
+        before = params.copy()
+        grads = GradAccum()
+        grads.add_row("entities", 1, np.ones(6, dtype=np.float32))
+        for row, value in ((0, 1.0), (2, np.inf), (1, np.nan)):
+            grads.add_row("relations", row, np.full(6, value, dtype=np.float32))
+        with pytest.raises(TwoViewError, match="relations row 2$"):
+            amsgrad_step(params, state, grads, 0.01)
+        assert np.array_equal(params.entities, before.entities)
+        assert np.array_equal(params.relations, before.relations)
+        assert not state.tables["entities"].m.any() and state.step == 0
+
     def test_map_update(self):
         params = small_params()
         state = OptimizerState.init(params)
@@ -138,6 +154,66 @@ def quick_config(**kw):
                 seed=2)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def greedy_schedule(counts):
+    """The schedule rule stepped one batch at a time: the source least far
+    along (batches done / batch count) goes next, ties to the earlier one."""
+    done, order = [0] * len(counts), []
+    while any(k < n for k, n in zip(done, counts)):
+        s = min((i for i, n in enumerate(counts) if done[i] < n),
+                key=lambda i: done[i] / counts[i])
+        order.append((s, done[s]))
+        done[s] += 1
+    return order
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("counts", [
+        [], [0], [0, 0, 0, 0], [1], [3], [1, 1], [5, 5, 5, 5], [2, 4],
+        [1, 2, 4, 8], [4, 2, 1], [0, 3, 0, 2], [7, 0, 1, 13], [3, 6, 9, 12],
+        [161, 12, 5, 49],
+    ])
+    def test_matches_greedy_rule(self, counts):
+        assert _schedule(counts).tolist() == [list(p) for p in greedy_schedule(counts)]
+
+    def test_matches_greedy_rule_on_random_tables(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            counts = rng.integers(0, 40, size=int(rng.integers(1, 5))).tolist()
+            got = _schedule(counts).tolist()
+            assert got == [list(p) for p in greedy_schedule(counts)], counts
+
+    def test_epoch_steps_in_schedule_order(self, synth_data, monkeypatch):
+        """A hierarchy-aware CT epoch calls its four losses in the greedy
+        rule's order over its batch counts."""
+        _, _, data = synth_data
+        model = ModelConfig.from_variant("HATransE-CT", 16, 8)
+        cfg = quick_config(hierarchical_relations=("subclass_of",))
+        hierarchy, residual = extract_hierarchy(
+            data.ontology_train, ["subclass_of"], data.meta_relations)
+        calls = []
+        for name, source in (("intra_hinge_loss", None), ("ha_loss", "hierarchy"),
+                             ("ct_loss", "cross")):
+            def record(*args, _real=getattr(training, name), _source=source):
+                calls.append(_source or args[-1])
+                return _real(*args)
+            monkeypatch.setattr(training, name, record)
+        rng = np.random.default_rng(0)
+        params = ModelParams.init(model, len(data.entities), len(data.relations),
+                                  len(data.concepts), len(data.meta_relations),
+                                  rng)
+        train_epoch(params, OptimizerState.init(params), data, model, cfg, rng,
+                    ontology_store=residual, hierarchy=hierarchy)
+        names = ("instance", "ontology", "hierarchy", "cross")
+        sizes = [(len(data.instance_train), cfg.batch_instance),
+                 (len(residual), cfg.batch_ontology),
+                 (len(hierarchy), cfg.batch_hierarchy),
+                 (len(data.links_train), cfg.batch_cross)]
+        expected = [names[s] for s, _ in
+                    greedy_schedule([-(-n // b) for n, b in sizes])]
+        assert calls == expected
+        assert len(set(calls)) == 4
 
 
 class TestTrainEpoch:
@@ -267,6 +343,17 @@ class TestTrain:
         assert len(seen) == len(history) < 12
         assert seen[-1] < max(seen)
         assert valid_mrr(params) == max(seen)
+
+    def test_early_stop_builds_filter_index_once(self, synth_data, monkeypatch):
+        _, _, data = synth_data
+        calls = []
+        real = evaluation._filter_keys
+        monkeypatch.setattr(evaluation, "_filter_keys",
+                            lambda *args: calls.append(1) or real(*args))
+        _, history = train(data, ModelConfig.from_variant("TransE-CT", 16, 8),
+                           quick_config(epochs=5, early_stop_patience=5))
+        assert len(history) == 5
+        assert len(calls) == 1
 
     def test_no_copies_without_early_stop(self, synth_data, monkeypatch):
         _, _, data = synth_data
