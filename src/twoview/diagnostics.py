@@ -79,9 +79,9 @@ def grads_to_vector(grads: GradAccum, template: ModelParams) -> np.ndarray:
     parts = []
     for name in ModelParams.TABLES:
         dense = np.zeros_like(template.table(name), dtype=np.float64)
-        for (table, row), g in grads.rows.items():
-            if table == name:
-                dense[row] += g
+        if name in grads.blocks:
+            ids, g = grads.blocks[name]
+            dense[ids] = g
         parts.append(dense.ravel())
     for map_name, attr in (("ct", "ct_map"), ("ha", "ha_map")):
         m = getattr(template, attr)
@@ -158,18 +158,13 @@ def _intra_probe(kind: ScorerKind, params: ModelParams, rng, batch_size=3):
                       int(rng.integers(n_nodes))) for _ in range(batch_size)]
         neg = [Triple(int(rng.integers(n_nodes)), t.relation,
                       int(rng.integers(n_nodes))) for t in pos]
-        ok = True
-        for p, n in zip(pos, neg):
-            sp = score(kind, params.entities[p.head], params.relations[p.relation],
-                       params.entities[p.tail])
-            sn = score(kind, params.entities[n.head], params.relations[n.relation],
-                       params.entities[n.tail])
-            if abs(0.5 + sn - sp) < _KINK_TOL:
-                ok = False
-            if kind is ScorerKind.TRANSLATIONAL and (abs(sp) < _KINK_TOL
-                                                     or abs(sn) < _KINK_TOL):
-                ok = False
-        if ok:
+        sp, sn = (score(kind, params.entities[h], params.relations[r],
+                        params.entities[t])
+                  for h, r, t in (np.array(pos).T, np.array(neg).T))
+        near = np.abs(0.5 + sn - sp) < _KINK_TOL
+        if kind is ScorerKind.TRANSLATIONAL:
+            near |= (np.abs(sp) < _KINK_TOL) | (np.abs(sn) < _KINK_TOL)
+        if not near.any():
             return TripleBatch(pos, neg)
 
 
@@ -209,25 +204,19 @@ def _pair_probe(params: ModelParams, rng, mode: str, margin=0.5, batch_size=3):
             pos = [(int(rng.integers(n_e)), int(rng.integers(n_c)))
                    for _ in range(batch_size)]
         neg = [int(rng.integers(n_c)) for _ in range(batch_size)]
-        ok = True
-        for (a, p), n in zip(pos, neg):
-            if mode == "cg-plain":
-                d_pos = np.linalg.norm(params.concepts[p] - params.entities[a])
-                if abs(d_pos - margin) < _KINK_TOL or d_pos < _KINK_TOL:
-                    ok = False
-                continue
-            if mode == "cg-sampled":
-                base = params.entities[a]
-            elif mode == "ct":
-                base = affine_tanh(params.ct_map, params.entities[a])
-            else:  # ha
-                base = affine_tanh(params.ha_map, params.concepts[a])
-            d_pos = np.linalg.norm(params.concepts[p] - base)
-            d_neg = np.linalg.norm(params.concepts[n] - base)
-            if (d_pos < _KINK_TOL or d_neg < _KINK_TOL
-                    or abs(margin + d_pos - d_neg) < _KINK_TOL):
-                ok = False
-        if ok:
+        (a, p), n = np.array(pos).T, np.array(neg)
+        if mode == "cg-plain":
+            d_pos = np.linalg.norm(params.concepts[p] - params.entities[a], axis=1)
+            near = (np.abs(d_pos - margin) < _KINK_TOL) | (d_pos < _KINK_TOL)
+        else:
+            base = (params.entities[a] if mode == "cg-sampled" else
+                    affine_tanh(params.ct_map, params.entities[a]) if mode == "ct" else
+                    affine_tanh(params.ha_map, params.concepts[a]))
+            d_pos, d_neg = (np.linalg.norm(params.concepts[c] - base, axis=1)
+                            for c in (p, n))
+            near = ((d_pos < _KINK_TOL) | (d_neg < _KINK_TOL)
+                    | (np.abs(margin + d_pos - d_neg) < _KINK_TOL))
+        if not near.any():
             return PairBatch(pos, neg)
 
 

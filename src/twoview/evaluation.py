@@ -8,10 +8,11 @@ nor pessimistically.  ``_top_k`` lists the best candidates, ties by
 ascending id.  A block holds at most ``BLOCK_ELEMENTS`` query x candidate
 scores.  Triple completion scores a block per direction with one matmul
 and filters it through sorted integer keys; typing ranks a block of
-per-entity ``concept_distances`` rows.  Translational and multiplicative triple ranks and
-``top_tails`` lists equal ``rank_candidates`` over ``score`` exactly;
-correlational ones come from the batched scores and may be one off on
-ulp-close ties.
+per-entity ``concept_distances`` rows.  Translational and multiplicative
+triple ranks and ``top_tails`` lists equal ``rank_candidates`` over
+``score`` exactly: the candidates within a rounding window are re-scored
+by one ``score`` call per block over gathered rows.  Correlational ones
+come from the batched scores and may be one off on ulp-close ties.
 """
 
 from __future__ import annotations
@@ -88,17 +89,19 @@ BLOCK_ELEMENTS = 1 << 19
 
 
 def _rank(fast: np.ndarray, gold, drop, width: np.ndarray | None = None,
-          exact: Callable[[int, int], float] | None = None) -> list[int]:
+          exact: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+          ) -> list[int]:
     """Mid-rank of ``gold[i]`` by row i of ``fast`` (higher is better)
     among all candidates but the (row, candidate) pairs indexed by
     ``drop``; the gold itself is never filtered.
 
     Without ``width`` the ranks are read off ``fast``.  With ``width[i]``
     such that every candidate c with |fast[i, c] - fast[i, gold]| >
-    width[i] is ordered against the gold by ``fast`` as by ``exact(i, c)``
+    width[i] is ordered against the gold by ``fast`` as by ``score``
     (``_slack``), the gold and every candidate inside the window are
-    re-scored with ``exact``, and the ranks equal ``rank_candidates`` over
-    ``exact``.
+    re-scored in one call ``exact(rows, candidates)``, which scores the
+    pairs of two index arrays as ``score`` does, and the ranks equal
+    ``rank_candidates`` over ``score``.
     """
     rows = np.arange(len(gold))
     keep = np.ones(fast.shape, dtype=bool)
@@ -113,14 +116,11 @@ def _rank(fast: np.ndarray, gold, drop, width: np.ndarray | None = None,
     above = fast > _outward(g + width, fast.dtype, np.inf)[:, None]
     better = np.count_nonzero(keep & above, axis=1)
     near = keep & ~above & (fast >= _outward(g - width, fast.dtype, -np.inf)[:, None])
-    tied = np.zeros_like(better)
-    gold_score = {}
-    for i, c in zip(*(ix.tolist() for ix in np.nonzero(near))):
-        if i not in gold_score:
-            gold_score[i] = exact(i, int(gold[i]))
-        s = exact(i, c)
-        better[i] += s > gold_score[i]
-        tied[i] += s == gold_score[i]
+    i, c = np.nonzero(near)
+    s = exact(np.concatenate((rows, i)), np.concatenate((gold, c)))
+    s, s_gold = s[len(rows):], s[:len(rows)][i]
+    better += np.bincount(i[s > s_gold], minlength=len(rows))
+    tied = np.bincount(i[s == s_gold], minlength=len(rows))
     return (1 + better + (tied + 1) // 2).tolist()
 
 
@@ -346,9 +346,12 @@ def top_tails(params: ModelParams, kind: ScorerKind, head: int, relation: int,
     if width is None:
         return [(c, float(fast[c])) for c in listed]
     floor = _outward(float(fast[listed[-1]]) - width, fast.dtype, -np.inf)
-    exact = {c: score(kind, nodes[head], edges[relation], nodes[c])
-             for c in np.flatnonzero(fast >= floor).tolist() if not drop(c)}
-    return sorted(exact.items(), key=lambda cs: (-cs[1], cs[0]))[:k]
+    window = np.array([c for c in np.flatnonzero(fast >= floor).tolist()
+                       if not drop(c)], dtype=np.intp)
+    exact = score(kind, nodes[np.full_like(window, head)],
+                  edges[np.full_like(window, relation)], nodes[window])
+    best = np.lexsort((window, -exact))[:k]
+    return list(zip(window[best].tolist(), exact[best].tolist()))
 
 
 def typing_scores(params: ModelParams, config: ModelConfig,

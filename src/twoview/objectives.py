@@ -4,7 +4,10 @@ sparse analytic gradients.
 All losses are averaged hinge losses, nonnegative by construction, and
 produce gradients only for the embeddings that actually appear in the batch
 (plus the affine-map parameters for the transformation losses).  Gradients
-flow only through pairs whose margin bracket is strictly positive.
+flow only through pairs whose margin bracket is strictly positive.  Each
+loss gathers its batch's rows once and scores and differentiates them as
+(b, d) blocks; its gradient holds one block per table, the distinct row ids
+with their summed rows.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import ConfigError, TwoViewError
 from .kb import Triple
 from .model import VIEW_TABLES, ModelParams
 from .scoring import ScorerKind, score, score_grads
-from .tensor_ops import affine_tanh
+from .tensor_ops import affine_tanh, unit_rows
 
 
 @dataclass(frozen=True)
@@ -92,33 +95,66 @@ class PairBatch:
         return len(self.pos)
 
 
+def _merge(ids: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``ids`` in first-occurrence order with the sums of their
+    rows of ``g``, which may be overwritten.  A repeated id's rows are summed
+    in occurrence order: by ``np.add.at`` when at most 16 rows repeat, else,
+    as np.add.at costs microseconds per row, pairwise in ceil(log2(count))
+    rounds of one vectorized add."""
+    order = ids.argsort(kind="stable")
+    s = ids[order]
+    pos = np.arange(len(s))
+    k = pos - s.searchsorted(s)                     # occurrence number
+    reps = k.nonzero()[0]
+    if len(reps) == 0:
+        return ids, g
+    keep = np.sort(order[k == 0])
+    if len(reps) <= 16:
+        out = g[keep]
+        np.add.at(out, keep.searchsorted(order[reps - k[reps]]), g[order[reps]])
+        return ids[keep], out
+    left = s.searchsorted(s, side="right") - pos    # occurrences from k on
+    step = 1
+    while step < left.max():
+        at = ((k % (2 * step) == 0) & (left > step)).nonzero()[0]
+        g[order[at]] += g[order[at + step]]
+        step *= 2
+    return ids[keep], g[keep]
+
+
 class GradAccum:
-    """Sparse gradient map: embedding rows keyed by (table, row id) plus
-    dense (dW, db) blocks per affine map."""
+    """Sparse gradient: per embedding table, one block of the distinct row
+    ids in first-occurrence order and their summed (n, d) rows, merged as
+    rows are added; plus dense (dW, db) per affine map.  ``rows`` views the
+    blocks as {(table, row id): row}, each row a view into its block."""
 
     def __init__(self):
-        self.rows: dict[tuple[str, int], np.ndarray] = {}
+        self.blocks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.maps: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
+    @property
+    def rows(self) -> dict[tuple[str, int], np.ndarray]:
+        return {(table, row): g for table, (ids, block) in self.blocks.items()
+                for row, g in zip(ids.tolist(), block)}
+
+    def add_rows(self, table: str, ids, g: np.ndarray) -> None:
+        """Add the (n, d) rows ``g``, taken over, not copied, at ``ids``."""
+        ids = np.asarray(ids, dtype=np.intp)
+        if table in self.blocks:
+            old_ids, old = self.blocks[table]
+            ids, g = np.concatenate((old_ids, ids)), np.concatenate((old, g))
+        self.blocks[table] = _merge(ids, g)
+
     def add_row(self, table: str, row: int, g: np.ndarray) -> None:
-        key = (table, row)
-        cur = self.rows.get(key)
-        if cur is None:
-            self.rows[key] = g.copy()
-        else:
-            cur += g
+        self.add_rows(table, [row], np.array(g)[None])
 
     def add_map(self, name: str, dW: np.ndarray, db: np.ndarray) -> None:
         cur = self.maps.get(name)
-        if cur is None:
-            self.maps[name] = (dW.copy(), db.copy())
-        else:
-            cur_w, cur_b = cur
-            cur_w += dW
-            cur_b += db
+        self.maps[name] = (dW.copy(), db.copy()) if cur is None else \
+            (cur[0] + dW, cur[1] + db)
 
     def scale(self, s: float) -> "GradAccum":
-        for g in self.rows.values():
+        for _, g in self.blocks.values():
             g *= s
         for dW, db in self.maps.values():
             dW *= s
@@ -188,42 +224,40 @@ def intra_hinge_loss(kind: ScorerKind, batch: TripleBatch, margin: float,
     """Margin ranking loss over (positive, corrupted) triple pairs of one view.
 
     loss = mean_+ [margin + f(neg) - f(pos)]_+ with gradients through every
-    pair whose bracket is positive.
+    pair whose bracket is positive.  The positives and the negatives are
+    each scored, and then differentiated, as one block of rows; each
+    table's gradient rows are merged once.
     """
     if len(batch) == 0:
         raise TwoViewError("intra-view batch is empty")
     node_table, edge_table = VIEW_TABLES[view]
     nodes = params.table(node_table)
     edges = params.table(edge_table)
+
+    def rows(trip):
+        return nodes[trip[:, 0]], edges[trip[:, 1]], nodes[trip[:, 2]]
+
+    pos, neg = (np.array(side, dtype=np.intp) for side in (batch.pos, batch.neg))
+    bracket = (margin + score(kind, *rows(neg)).astype(np.float64)
+               - score(kind, *rows(pos)))
+    active = bracket > 0.0
     grads = GradAccum()
-    total = 0.0
-    for pos, neg in zip(batch.pos, batch.neg):
-        s_pos = score(kind, nodes[pos.head], edges[pos.relation], nodes[pos.tail])
-        s_neg = score(kind, nodes[neg.head], edges[neg.relation], nodes[neg.tail])
-        bracket = margin + s_neg - s_pos
-        if bracket <= 0.0:
-            continue
-        total += bracket
-        gh, gr, gt = score_grads(kind, nodes[pos.head], edges[pos.relation],
-                                 nodes[pos.tail])
-        grads.add_row(node_table, pos.head, -gh)
-        grads.add_row(edge_table, pos.relation, -gr)
-        grads.add_row(node_table, pos.tail, -gt)
-        gh, gr, gt = score_grads(kind, nodes[neg.head], edges[neg.relation],
-                                 nodes[neg.tail])
-        grads.add_row(node_table, neg.head, gh)
-        grads.add_row(edge_table, neg.relation, gr)
-        grads.add_row(node_table, neg.tail, gt)
+    if active.any():
+        trips = np.stack((pos[active], neg[active]))        # (side, pair, slot)
+        n, d = trips.shape[1], nodes.shape[1]
+        node_g = np.empty((2, 2, n, d), nodes.dtype)        # (side, head/tail, pair)
+        edge_g = np.empty((2, n, d), edges.dtype)
+        for side, trip in enumerate(trips):                 # positives, then negatives
+            node_g[side, 0], edge_g[side], node_g[side, 1] = \
+                score_grads(kind, *rows(trip))
+        node_g[0] *= -1
+        edge_g[0] *= -1
+        grads.add_rows(node_table, trips[:, :, ::2].transpose(0, 2, 1).ravel(),
+                       node_g.reshape(-1, d))
+        grads.add_rows(edge_table, trips[:, :, 1].ravel(), edge_g.reshape(-1, d))
     inv = 1.0 / len(batch)
     grads.scale(inv)
-    return total * inv, grads
-
-
-def _unit_or_zero(diff: np.ndarray) -> tuple[np.ndarray, float]:
-    norm = float(np.linalg.norm(diff))
-    if norm == 0.0:
-        return np.zeros_like(diff), 0.0
-    return diff / norm, norm
+    return float(bracket[active].sum()) * inv, grads
 
 
 def cg_loss(batch: PairBatch, margin: float, use_negatives: bool,
@@ -241,32 +275,27 @@ def cg_loss(batch: PairBatch, margin: float, use_negatives: bool,
         raise ConfigError("CG requires equal entity and concept dimensions")
     if use_negatives and batch.neg_second is None:
         raise TwoViewError("negative concepts required for the sampled CG mode")
+    e, c = np.array(batch.pos, dtype=np.intp).T
+    ents = params.entities[e]
+    u_pos, d_pos = unit_rows(params.concepts[c] - ents)
+    if use_negatives:
+        cn = np.asarray(batch.neg_second, dtype=np.intp)
+        u_neg, d_neg = unit_rows(params.concepts[cn] - ents)
+        bracket = margin + d_pos.astype(np.float64) - d_neg
+    else:
+        bracket = d_pos.astype(np.float64) - margin
+    active = bracket > 0.0
     grads = GradAccum()
-    total = 0.0
-    for i, (e, c) in enumerate(batch.pos):
-        ev = params.entities[e]
-        cv = params.concepts[c]
-        u_pos, d_pos = _unit_or_zero(cv - ev)
-        if use_negatives:
-            cn = batch.neg_second[i]
-            u_neg, d_neg = _unit_or_zero(params.concepts[cn] - ev)
-            bracket = margin + d_pos - d_neg
-            if bracket <= 0.0:
-                continue
-            total += bracket
-            grads.add_row("concepts", c, u_pos)
-            grads.add_row("concepts", cn, -u_neg)
-            grads.add_row("entities", e, -u_pos + u_neg)
-        else:
-            bracket = d_pos - margin
-            if bracket <= 0.0:
-                continue
-            total += bracket
-            grads.add_row("concepts", c, u_pos)
-            grads.add_row("entities", e, -u_pos)
+    if use_negatives:
+        grads.add_rows("concepts", np.concatenate((c[active], cn[active])),
+                       np.concatenate((u_pos[active], -u_neg[active])))
+        grads.add_rows("entities", e[active], u_neg[active] - u_pos[active])
+    else:
+        grads.add_rows("concepts", c[active], u_pos[active])
+        grads.add_rows("entities", e[active], -u_pos[active])
     inv = 1.0 / len(batch)
     grads.scale(inv)
-    return total * inv, grads
+    return float(bracket[active].sum()) * inv, grads
 
 
 def _transform_hinge(batch: PairBatch, margin: float, params: ModelParams,
@@ -275,7 +304,10 @@ def _transform_hinge(batch: PairBatch, margin: float, params: ModelParams,
     """Shared core of the CT and HA losses.
 
     loss = mean [margin + ||target - tanh(W a + b)|| - ||neg - tanh(W a + b)||]_+
-    with gradients for the anchor, both targets and the map itself.
+    with gradients for the anchor, both targets and the map itself.  The
+    products with W and the map gradient dW, a sum over pairs, are
+    ``np.einsum`` calls: a BLAS matmul's sums follow its thread count, and
+    its packing buffers add to a run's peak memory.
     """
     if len(batch) == 0:
         raise TwoViewError("transformation batch is empty")
@@ -288,26 +320,25 @@ def _transform_hinge(batch: PairBatch, margin: float, params: ModelParams,
         raise ConfigError(
             f"map {map_name!r} of shape {m.W.shape} does not fit tables "
             f"{anchor_table}({anchors.shape[1]}) -> {target_table}({targets.shape[1]})")
+    a, pos_t = np.array(batch.pos, dtype=np.intp).T
+    neg_t = np.asarray(batch.neg_second, dtype=np.intp)
+    av = anchors[a]
+    proj = affine_tanh(m, av)
+    u_pos, d_pos = unit_rows(targets[pos_t] - proj)
+    u_neg, d_neg = unit_rows(targets[neg_t] - proj)
+    bracket = margin + d_pos.astype(np.float64) - d_neg
+    active = bracket > 0.0
     grads = GradAccum()
-    total = 0.0
-    for (a, pos_t), neg_t in zip(batch.pos, batch.neg_second):
-        av = anchors[a]
-        proj = affine_tanh(m, av)
-        u_pos, d_pos = _unit_or_zero(targets[pos_t] - proj)
-        u_neg, d_neg = _unit_or_zero(targets[neg_t] - proj)
-        bracket = margin + d_pos - d_neg
-        if bracket <= 0.0:
-            continue
-        total += bracket
-        grads.add_row(target_table, pos_t, u_pos)
-        grads.add_row(target_table, neg_t, -u_neg)
-        d_proj = -u_pos + u_neg
-        dz = d_proj * (1.0 - proj * proj)  # tanh'
-        grads.add_map(map_name, np.outer(dz, av), dz)
-        grads.add_row(anchor_table, a, m.W.T @ dz)
+    if active.any():
+        u_pos, u_neg, proj, av = u_pos[active], u_neg[active], proj[active], av[active]
+        grads.add_rows(target_table, np.concatenate((pos_t[active], neg_t[active])),
+                       np.concatenate((u_pos, -u_neg)))
+        dz = (u_neg - u_pos) * (1.0 - proj * proj)  # tanh'
+        grads.add_map(map_name, np.einsum("bi,bj->ij", dz, av), dz.sum(axis=0))
+        grads.add_rows(anchor_table, a[active], np.einsum("bo,oi->bi", dz, m.W))
     inv = 1.0 / len(batch)
     grads.scale(inv)
-    return total * inv, grads
+    return float(bracket[active].sum()) * inv, grads
 
 
 def ct_loss(batch: PairBatch, margin: float,

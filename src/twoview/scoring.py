@@ -1,7 +1,8 @@
 """Triple plausibility scorers and their analytic gradients.
 
 Three interchangeable score functions over (head, relation, tail) embedding
-vectors, higher meaning more plausible:
+vectors, higher meaning more plausible.  ``score`` and ``score_grads`` take
+(b, d) row blocks, 1-D vectors being the b = 1 case:
 
 * translational:   -||h + r - t||_2
 * multiplicative:  (h o t) . r        (Hadamard product)
@@ -35,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import TwoViewError
-from .tensor_ops import circ_convolution, circ_correlation
+from .tensor_ops import circ_convolution, circ_correlation, unit_rows
 
 
 class ScorerKind(str, Enum):
@@ -44,45 +45,56 @@ class ScorerKind(str, Enum):
     CORRELATIONAL = "correlational"
 
 
-def _check_dims(h, r, t):
-    if not (h.shape == r.shape == t.shape) or h.ndim != 1:
-        raise TwoViewError(
-            f"score expects equal-length vectors, got {h.shape}/{r.shape}/{t.shape}")
-
-
-def score(kind: ScorerKind, h: np.ndarray, r: np.ndarray, t: np.ndarray) -> float:
+def _rows(h, r, t):
     h, r, t = np.asarray(h), np.asarray(r), np.asarray(t)
-    _check_dims(h, r, t)
+    if not (h.shape == r.shape == t.shape) or h.ndim not in (1, 2):
+        raise TwoViewError(f"score expects equal-shape vectors or (b, d) blocks, "
+                           f"got {h.shape}/{r.shape}/{t.shape}")
+    return h, r, t
+
+
+def _per_row(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 1-D kernel ``f`` on vectors, or on each pair of rows of blocks."""
+    if a.ndim == 1:
+        return f(a, b)
+    out = np.empty(a.shape, np.result_type(a, b))
+    for i, (x, y) in enumerate(zip(a, b)):
+        out[i] = f(x, y)
+    return out
+
+
+def score(kind: ScorerKind, h: np.ndarray, r: np.ndarray, t: np.ndarray):
+    """Scores of (b, d) row blocks h, r, t as (b,), or of vectors (the b = 1
+    case) as a float.  Each row's dot product is one ``np.vecdot``, so its
+    score does not depend on the block it is computed in."""
+    h, r, t = _rows(h, r, t)
     if kind is ScorerKind.TRANSLATIONAL:
-        return -float(np.linalg.norm(h + r - t))
-    if kind is ScorerKind.MULTIPLICATIVE:
-        return float((h * t) @ r)
-    return float(circ_correlation(h, t) @ r)
+        x = h + r - t
+        out = -np.sqrt(np.vecdot(x, x))
+    elif kind is ScorerKind.MULTIPLICATIVE:
+        out = np.vecdot(h * t, r)
+    else:
+        out = np.vecdot(_per_row(circ_correlation, h, t), r)
+    return float(out) if h.ndim == 1 else out
 
 
 def score_grads(kind: ScorerKind, h: np.ndarray, r: np.ndarray,
                 t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(df/dh, df/dr, df/dt) for the given scorer.
+    """(df/dh, df/dr, df/dt) for the given scorer, in the arguments' shape.
 
     The translational gradient at an exact translation (h + r = t) uses the
     zero subgradient.
     """
-    h, r, t = np.asarray(h), np.asarray(r), np.asarray(t)
-    _check_dims(h, r, t)
+    h, r, t = _rows(h, r, t)
     if kind is ScorerKind.TRANSLATIONAL:
-        diff = h + r - t
-        norm = float(np.linalg.norm(diff))
-        if norm == 0.0:
-            zero = np.zeros_like(diff)
-            return zero, zero.copy(), zero.copy()
-        u = diff / norm
-        return -u, -u.copy(), u.copy()
+        u, _ = unit_rows(h + r - t)
+        return -u, -u, u
     if kind is ScorerKind.MULTIPLICATIVE:
         return t * r, h * t, h * r
     # correlational: f = sum_{k,i} r_k h_i t_{(k+i)%d}
-    return (circ_correlation(r, t),
-            circ_correlation(h, t),
-            circ_convolution(h, r))
+    return (_per_row(circ_correlation, r, t),
+            _per_row(circ_correlation, h, t),
+            _per_row(circ_convolution, h, r))
 
 
 def _neg_distances(q: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -109,7 +121,7 @@ def score_all_tails(kind: ScorerKind, h: np.ndarray, r: np.ndarray,
         out = (h * r) @ tails.T
     else:
         # (h * t) . r = t . (h circularly convolved with r)
-        out = np.stack([circ_convolution(a, b) for a, b in zip(h, r)]) @ tails.T
+        out = _per_row(circ_convolution, h, r) @ tails.T
     return out[0] if single else out
 
 
@@ -125,5 +137,5 @@ def score_all_heads(kind: ScorerKind, heads: np.ndarray, r: np.ndarray,
         out = (t * r) @ heads.T
     else:
         # (h * t) . r = h . (r star t)
-        out = np.stack([circ_correlation(a, b) for a, b in zip(r, t)]) @ heads.T
+        out = _per_row(circ_correlation, r, t) @ heads.T
     return out[0] if single else out

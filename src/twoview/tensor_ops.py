@@ -112,13 +112,15 @@ def affine_tanh(m: AffineMap, x: np.ndarray) -> np.ndarray:
 
     Outputs are strictly inside (-1, 1): floating-point tanh saturates to
     exactly +-1 for large inputs, so saturated values are pulled in by one
-    ulp to keep the open-interval contract (and artanh finite).
+    ulp to keep the open-interval contract (and artanh finite).  A batch is
+    mapped by ``np.einsum``, as ``objectives._transform_hinge`` explains.
     """
     x = np.asarray(x)
     if x.shape[-1] != m.d_in:
         raise TwoViewError(
             f"input dim {x.shape[-1]} does not match map input dim {m.d_in}")
-    out = np.tanh(m.W @ x + m.b) if x.ndim == 1 else np.tanh(x @ m.W.T + m.b)
+    z = m.W @ x if x.ndim == 1 else np.einsum("bi,oi->bo", x, m.W)
+    out = np.tanh(z + m.b)
     one = out.dtype.type(1.0)
     return np.clip(out, np.nextafter(-one, one), np.nextafter(one, -one))
 
@@ -149,17 +151,12 @@ def affine_tanh_pinv(m: AffineMap, y: np.ndarray, clamp_delta: float = 1e-6,
     return (z - m.b) @ w_pinv.T
 
 
-def project_unit_norm(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit L2 norm.
-
-    The norm is accumulated in 64-bit so denormal-scale inputs do not
-    underflow to zero; a genuinely zero vector is an error.
-    """
-    v = np.asarray(v)
-    norm = float(np.linalg.norm(v.astype(np.float64, copy=False)))
-    if norm == 0.0:
-        raise TwoViewError("cannot normalize a zero vector")
-    return (v.astype(np.float64, copy=False) / norm).astype(v.dtype)
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows of ``x``, or the vector, at unit norm, zero ones left zero; the
+    norms sqrt(x . x) by ``np.vecdot``)."""
+    norm = np.sqrt(np.vecdot(x, x))
+    col = norm[..., None]
+    return np.divide(x, col, out=np.zeros(x.shape, x.dtype), where=col > 0), norm
 
 
 def project_rows_unit_norm(table: np.ndarray, rows: np.ndarray | list[int]) -> None:

@@ -74,24 +74,20 @@ def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
                  rate: float) -> None:
     """One sparse AMSGrad update followed by unit-norm projection.
 
-    Only coordinates with a gradient entry are touched: m <- b1*m + (1-b1)*g,
-    v <- b2*v + (1-b2)*g^2, vhat <- max(vhat, v), theta <- theta -
-    rate * m / (sqrt(vhat) + eps).  Touched entity/concept rows are then
-    projected back to unit norm; everything else is left bitwise unchanged.
+    Each table's gradient block (distinct row ids, summed rows) is applied
+    as it is.  Only coordinates with a gradient entry are touched: m <-
+    b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2, vhat <- max(vhat, v), theta <-
+    theta - rate * m / (sqrt(vhat) + eps).  Touched entity/concept rows are
+    then projected back to unit norm; everything else is left bitwise
+    unchanged.
     """
-    by_table: dict[str, tuple[list[int], list[np.ndarray]]] = {}
-    for (table, row), g in grads.rows.items():
-        ids, gs = by_table.setdefault(table, ([], []))
-        ids.append(row)
-        gs.append(g)
-    blocks = []
-    for table, (ids, gs) in by_table.items():
-        g = np.asarray(gs, dtype=params.table(table).dtype)
-        finite = np.isfinite(g)
+    blocks = [(table, ids, g.astype(params.table(table).dtype, copy=False))
+              for table, (ids, g) in grads.blocks.items()]
+    for table, ids, g in blocks:
+        finite = np.isfinite(g).all(axis=1)
         if not finite.all():
-            row = ids[int(np.argmin(finite.all(axis=1)))]
-            raise TwoViewError(f"non-finite gradient for {table} row {row}")
-        blocks.append((table, np.asarray(ids, dtype=np.intp), g))
+            raise TwoViewError(f"non-finite gradient for {table} row "
+                               f"{ids[np.argmin(finite)]}")
     for name, (dW, db) in grads.maps.items():
         if not (np.isfinite(dW).all() and np.isfinite(db).all()):
             raise TwoViewError(f"non-finite gradient for affine map {name!r}")

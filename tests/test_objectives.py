@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from twoview import training
+from twoview.dataio import prepare_splits
 from twoview.diagnostics import (check_cross_gradients, check_intra_gradients,
                                  _random_params)
 from twoview.errors import ConfigError, TwoViewError
-from twoview.kb import CrossLinkStore, HierarchyStore, Triple, TripleStore
+from twoview.kb import (CrossLinkStore, HierarchyStore, SplitSpec, Triple,
+                        TripleStore, extract_hierarchy)
+from twoview.model import ModelConfig, ModelParams
 from twoview.objectives import (GradAccum, LossWeights, Margins, PairBatch,
                                 TripleBatch, cg_loss, combine_intra,
                                 combine_total, ct_loss, ha_loss,
                                 intra_hinge_loss, sample_negative_concept,
                                 sample_negative_triple)
 from twoview.scoring import ScorerKind
+from twoview.synth import SUBCLASS, planted_kb
 from twoview.tensor_ops import affine_tanh
+from twoview.training import OptimizerState, TrainConfig, train_epoch
+
+import reference_losses
 
 
 class TestSampleNegativeTriple:
@@ -285,3 +293,68 @@ class TestLossNonnegativityProperty:
             [(int(rng.integers(6)), int(rng.integers(6))) for _ in range(4)],
             [int(rng.integers(6)) for _ in range(4)])
         assert ha_loss(concept_pairs, 0.5, params)[0] >= 0.0
+
+
+class TestMerge:
+    def test_repeats_summed_in_first_occurrence_order(self):
+        g = GradAccum()
+        rows = np.arange(12.0).reshape(6, 2)
+        g.add_rows("entities", [4, 1, 4, 7, 1, 4], rows.copy())
+        ids, block = g.blocks["entities"]
+        assert ids.tolist() == [4, 1, 7]
+        assert np.array_equal(block, [rows[[0, 2, 5]].sum(axis=0),
+                                      rows[[1, 4]].sum(axis=0), rows[3]])
+        assert list(g.rows) == [("entities", 4), ("entities", 1), ("entities", 7)]
+        g.rows[("entities", 1)][:] = -1.0    # rows are views into the block
+        assert np.array_equal(g.blocks["entities"][1][1], [-1.0, -1.0])
+
+    def test_many_repeats_of_one_id(self):
+        g = GradAccum()
+        rows = np.random.default_rng(0).normal(size=(37, 3))
+        g.add_rows("relations", [5] * 37, rows.copy())
+        ids, block = g.blocks["relations"]
+        assert ids.tolist() == [5]
+        assert np.allclose(block[0], rows.sum(axis=0), rtol=1e-13)
+
+
+def _epoch_params(data, model, config):
+    """Float64 parameters after one ``train_epoch`` from a fixed start."""
+    params = ModelParams.init(model, len(data.entities), len(data.relations),
+                              len(data.concepts), len(data.meta_relations),
+                              np.random.default_rng(0), dtype=np.float64)
+    ontology, hierarchy = data.ontology_train, None
+    if model.hierarchy_aware:
+        hierarchy, ontology = extract_hierarchy(
+            data.ontology_train, [SUBCLASS], data.meta_relations)
+    train_epoch(params, OptimizerState.init(params), data, model, config,
+                np.random.default_rng(1), ontology_store=ontology,
+                hierarchy=hierarchy)
+    return params
+
+
+@pytest.mark.parametrize("variant, sampled", [
+    ("HATransE-CT", True), ("HAHolE-CT", True), ("Mult-CG", True),
+    ("Mult-CG", False)])
+def test_batched_epoch_matches_per_pair_losses(variant, sampled, monkeypatch):
+    """A whole float64 epoch with the batched losses ends where the same
+    epoch with the per-pair reference losses does.  Sampling does not
+    depend on the parameters, so both epochs see the same negatives."""
+    kb, _ = planted_kb()
+    data = prepare_splits(kb, SplitSpec(seed=3))
+    model = ModelConfig.from_variant(variant, 12, 12 if "CG" in variant else 8)
+    config = TrainConfig(epochs=1, batch_instance=128, batch_ontology=16,
+                         batch_cross=64, batch_hierarchy=8, learning_rate=0.01,
+                         margins=Margins.defaults_for(model.intra),
+                         cross_negative_sampling=sampled)
+    batched = _epoch_params(data, model, config)
+    for name in ("intra_hinge_loss", "cg_loss", "ct_loss", "ha_loss"):
+        monkeypatch.setattr(training, name, getattr(reference_losses, name))
+    oracle = _epoch_params(data, model, config)
+    for name in ModelParams.TABLES:
+        np.testing.assert_allclose(batched.table(name), oracle.table(name),
+                                   rtol=1e-6, atol=0, err_msg=name)
+    for name in ("ct", "ha"):
+        if getattr(oracle, f"{name}_map") is not None:
+            for a, b in zip((batched.map(name).W, batched.map(name).b),
+                            (oracle.map(name).W, oracle.map(name).b)):
+                np.testing.assert_allclose(a, b, rtol=1e-6, atol=0, err_msg=name)

@@ -101,3 +101,36 @@ class TestVectorizedScoring:
             for j in range(9):
                 assert abs(tails[i, j] - score(kind, h[i], r[i], table[j])) < 1e-9
                 assert abs(heads[i, j] - score(kind, table[j], r[i], t[i])) < 1e-9
+
+
+class TestBlockScores:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", [ScorerKind.TRANSLATIONAL,
+                                      ScorerKind.MULTIPLICATIVE])
+    def test_rows_equal_one_dimensional_score_bitwise(self, kind, dtype):
+        """Eval re-scores in-window candidates as gathered blocks and its
+        ranks must equal ``rank_candidates`` over 1-D ``score``: a numpy or
+        BLAS change that rounds a block row differently fails here instead
+        of silently moving a rank."""
+        rng = np.random.default_rng(11)
+        for d in (7, 50, 100, 128, 300, 301, 1000):
+            table = rng.normal(size=(400, d)).astype(dtype)
+            h, r, t = (table[rng.integers(400, size=300)] for _ in range(3))
+            block = score(kind, h, r, t)
+            assert block.shape == (300,) and block.dtype == dtype
+            rows = [score(kind, *v) for v in zip(h, r, t)]
+            assert block.tolist() == rows, d
+
+    @pytest.mark.parametrize("kind", list(ScorerKind))
+    def test_block_grads_equal_rows(self, kind, rng):
+        h, r, t = (rng.normal(size=(5, 6)) for _ in range(3))
+        t[2] = h[2] + r[2]     # an exact translation: zero subgradient
+        block = score_grads(kind, h, r, t)
+        for i in range(5):
+            for b, g in zip(block, score_grads(kind, h[i], r[i], t[i])):
+                assert np.array_equal(b[i], g)
+
+    def test_block_shape_mismatch(self):
+        with pytest.raises(TwoViewError):
+            score(ScorerKind.TRANSLATIONAL, np.zeros((2, 3)), np.zeros((2, 3)),
+                  np.zeros((3, 3)))

@@ -8,7 +8,7 @@ from twoview.tensor_ops import (AffineMap, affine_tanh, affine_tanh_pinv,
                                 circ_convolution, circ_correlation,
                                 circ_correlation_fft, finite_diff_check,
                                 init_orthogonal, init_unit_sphere,
-                                project_rows_unit_norm, project_unit_norm)
+                                project_rows_unit_norm)
 
 
 def corr_definition_oracle(a, b):
@@ -173,6 +173,13 @@ class TestAffineTanhPinv:
         m = AffineMap(np.eye(2), np.zeros(2))
         with pytest.raises(TwoViewError):
             affine_tanh_pinv(m, np.zeros(2), clamp_delta=0.5)
+
+
+def project_unit_norm(v):
+    """One vector projected through the row form."""
+    table = np.array([v])
+    project_rows_unit_norm(table, [0])
+    return table[0]
 
 
 class TestProjectUnitNorm:

@@ -55,3 +55,33 @@ def test_every_trace_target_is_found():
     for name in ("sample", "amsgrad", "project", "contains", "score",
                  "score_grads", "affine_tanh"):
         assert tracer.total(name).count > 0, name
+
+
+def test_traced_training_gives_untraced_bytes():
+    """The probe's gradient hooks read ``grads.rows`` before the training
+    loop scales the ontology and hierarchy gradients; the bytes must not
+    depend on whether anything read them."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    kb, _ = planted_kb()
+    data = prepare_splits(kb, SplitSpec(seed=5))
+    model = ModelConfig.from_variant("HATransE-CT", 16, 8)
+    config = TrainConfig(epochs=2, seed=3, batch_instance=64, batch_ontology=8,
+                         batch_hierarchy=4, batch_cross=32,
+                         hierarchical_relations=("subclass_of",))
+    plain = train(data, model, config)[0]
+    probe = tracing.Probe(tracing.Tracer(), workloads.targets())
+    probe.install()
+    try:
+        traced = train(data, model, config)[0]
+    finally:
+        probe.uninstall()
+    for name in plain.TABLES:
+        assert plain.table(name).tobytes() == traced.table(name).tobytes(), name
+    for name in ("ct", "ha"):
+        assert plain.map(name).W.tobytes() == traced.map(name).W.tobytes()
+        assert plain.map(name).b.tobytes() == traced.map(name).b.tobytes()

@@ -396,3 +396,48 @@ def test_moving_average_loss_trend_all_variants():
             assert ma[i + 1] <= ma[i] + tolerance, \
                 f"{variant}: moving average rose at epoch {i + 5}"
         assert ma[-1] < ma[0], f"{variant}: no overall descent"
+
+
+_THREADS_RUN = """
+import hashlib
+from twoview.dataio import prepare_splits
+from twoview.kb import SplitSpec
+from twoview.model import ModelConfig, ModelParams
+from twoview.objectives import Margins
+from twoview.synth import planted_kb
+from twoview.training import TrainConfig, train
+
+kb, _ = planted_kb(n_clusters=100)
+data = prepare_splits(kb, SplitSpec(seed=11))
+params, _ = train(data, ModelConfig.from_variant("TransE-CT", 300, 50),
+                  TrainConfig(epochs=1, seed=11, batch_cross=1024,
+                              margins=Margins(cross=10.0)))
+digest = hashlib.sha256()
+for table in ModelParams.TABLES:
+    digest.update(params.table(table).tobytes())
+digest.update(params.ct_map.W.tobytes() + params.ct_map.b.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_parameter_bytes_independent_of_blas_threads():
+    """A BLAS product that sums over the batch, as dz.T @ A for the CT map
+    gradient would, may round differently with the thread count.  The one
+    cross batch here holds all 600 training links, all active under a wide
+    margin; with dz.T @ A in place of the einsum the two digests differ."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import twoview
+    src = str(Path(twoview.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _THREADS_RUN], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
