@@ -196,27 +196,25 @@ def _pair_probe(params: ModelParams, rng, mode: str, margin=0.5, batch_size=3):
     """Link/hierarchy batches away from hinge and zero-distance kinks."""
     n_e = params.entities.shape[0]
     n_c = params.concepts.shape[0]
+    n_anchors = n_c if mode == "ha" else n_e
     while True:
-        if mode == "ha":
-            pos = [(int(rng.integers(n_c)), int(rng.integers(n_c)))
-                   for _ in range(batch_size)]
-        else:
-            pos = [(int(rng.integers(n_e)), int(rng.integers(n_c)))
-                   for _ in range(batch_size)]
+        pos = [(int(rng.integers(n_anchors)), int(rng.integers(n_c)))
+               for _ in range(batch_size)]
         neg = [int(rng.integers(n_c)) for _ in range(batch_size)]
         (a, p), n = np.array(pos).T, np.array(neg)
-        if mode == "cg-plain":
-            d_pos = np.linalg.norm(params.concepts[p] - params.entities[a], axis=1)
-            near = (np.abs(d_pos - margin) < _KINK_TOL) | (d_pos < _KINK_TOL)
+        if mode == "ha":
+            base = affine_tanh(params.ha_map, params.concepts[a])
+        elif mode == "ct":
+            base = affine_tanh(params.ct_map, params.entities[a])
         else:
-            base = (params.entities[a] if mode == "cg-sampled" else
-                    affine_tanh(params.ct_map, params.entities[a]) if mode == "ct" else
-                    affine_tanh(params.ha_map, params.concepts[a]))
-            d_pos, d_neg = (np.linalg.norm(params.concepts[c] - base, axis=1)
-                            for c in (p, n))
-            near = ((d_pos < _KINK_TOL) | (d_neg < _KINK_TOL)
-                    | (np.abs(margin + d_pos - d_neg) < _KINK_TOL))
-        if not near.any():
+            base = params.entities[a]
+        d_pos, d_neg = (np.linalg.norm(params.concepts[c] - base, axis=1)
+                        for c in (p, n))
+        if mode == "cg-plain":
+            near = np.abs(d_pos - margin) < _KINK_TOL
+        else:
+            near = (d_neg < _KINK_TOL) | (np.abs(margin + d_pos - d_neg) < _KINK_TOL)
+        if not (near | (d_pos < _KINK_TOL)).any():
             return PairBatch(pos, neg)
 
 

@@ -97,29 +97,19 @@ class PairBatch:
 
 def _merge(ids: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``ids`` in first-occurrence order with the sums of their
-    rows of ``g``, which may be overwritten.  A repeated id's rows are summed
-    in occurrence order: by ``np.add.at`` when at most 16 rows repeat, else,
-    as np.add.at costs microseconds per row, pairwise in ceil(log2(count))
-    rounds of one vectorized add."""
+    rows of ``g``.  A repeated id's rows are summed in occurrence order, by
+    one ``np.add.at``."""
     order = ids.argsort(kind="stable")
     s = ids[order]
-    pos = np.arange(len(s))
-    k = pos - s.searchsorted(s)                     # occurrence number
+    k = np.arange(len(s)) - s.searchsorted(s)       # occurrence number
     reps = k.nonzero()[0]
     if len(reps) == 0:
         return ids, g
-    keep = np.sort(order[k == 0])
-    if len(reps) <= 16:
-        out = g[keep]
-        np.add.at(out, keep.searchsorted(order[reps - k[reps]]), g[order[reps]])
-        return ids[keep], out
-    left = s.searchsorted(s, side="right") - pos    # occurrences from k on
-    step = 1
-    while step < left.max():
-        at = ((k % (2 * step) == 0) & (left > step)).nonzero()[0]
-        g[order[at]] += g[order[at + step]]
-        step *= 2
-    return ids[keep], g[keep]
+    keep = order[k == 0]
+    keep.sort()
+    out = g[keep]
+    np.add.at(out, keep.searchsorted(order[reps - k[reps]]), g[order[reps]])
+    return ids[keep], out
 
 
 class GradAccum:

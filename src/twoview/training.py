@@ -92,31 +92,25 @@ def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
         if not (np.isfinite(dW).all() and np.isfinite(db).all()):
             raise TwoViewError(f"non-finite gradient for affine map {name!r}")
 
-    b1, b2, eps = BETA1, BETA2, EPS
     for table, idx, g in blocks:
         arr = params.table(table)
-        mom = state.tables[table]
-        m_new = b1 * mom.m[idx] + (1.0 - b1) * g
-        v_new = b2 * mom.v[idx] + (1.0 - b2) * g * g
-        vhat_new = np.maximum(mom.vhat[idx], v_new)
-        mom.m[idx] = m_new
-        mom.v[idx] = v_new
-        mom.vhat[idx] = vhat_new
-        arr[idx] -= (rate * m_new / (np.sqrt(vhat_new) + eps)).astype(arr.dtype)
+        _amsgrad(arr, state.tables[table], idx, g, rate)
         if table in _NORM_CONSTRAINED:
             project_rows_unit_norm(arr, idx)
-
     for name, (dW, db) in grads.maps.items():
         amap = params.map(name)
-        mom_w, mom_b = state.maps[name]
-        for mom, arr, g in ((mom_w, amap.W, dW), (mom_b, amap.b, db)):
-            g = g.astype(arr.dtype, copy=False)
-            mom.m = b1 * mom.m + (1.0 - b1) * g
-            mom.v = b2 * mom.v + (1.0 - b2) * g * g
-            mom.vhat = np.maximum(mom.vhat, mom.v)
-            arr -= (rate * mom.m / (np.sqrt(mom.vhat) + eps)).astype(arr.dtype)
-
+        for mom, arr, g in zip(state.maps[name], (amap.W, amap.b), (dW, db)):
+            _amsgrad(arr, mom, ..., g.astype(arr.dtype, copy=False), rate)
     state.step += 1
+
+
+def _amsgrad(arr: np.ndarray, mom: _Moments, idx, g: np.ndarray, rate: float) -> None:
+    """AMSGrad on ``arr[idx]`` and its moments, in place, for gradient ``g``."""
+    m = BETA1 * mom.m[idx] + (1.0 - BETA1) * g
+    v = BETA2 * mom.v[idx] + (1.0 - BETA2) * g * g
+    vhat = np.maximum(mom.vhat[idx], v)
+    mom.m[idx], mom.v[idx], mom.vhat[idx] = m, v, vhat
+    arr[idx] -= (rate * m / (np.sqrt(vhat) + EPS)).astype(arr.dtype)
 
 
 @dataclass(frozen=True)

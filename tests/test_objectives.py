@@ -316,6 +316,13 @@ class TestMerge:
         assert ids.tolist() == [5]
         assert np.allclose(block[0], rows.sum(axis=0), rtol=1e-13)
 
+    def test_repeated_rows_summed_in_occurrence_order(self):
+        """((g0 + g1) + g2) + g3: 1 here, where the pairwise sum
+        (g0 + g1) + (g2 + g3) is 0."""
+        g = GradAccum()
+        g.add_rows("entities", [3, 3, 3, 3], np.array([[1e16], [1.0], [-1e16], [1.0]]))
+        assert g.blocks["entities"][1].tolist() == [[1.0]]
+
 
 def _epoch_params(data, model, config):
     """Float64 parameters after one ``train_epoch`` from a fixed start."""
