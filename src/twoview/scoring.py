@@ -22,8 +22,11 @@ dtype and differ from ``score`` by rounding:
   q ~ t, and below 1e-4 at the distances of random unit rows;
 * multiplicative: one rounded product per element and a d-term dot product,
   within gamma_{d+1} sum_k |h_k r_k t_k| of the exact value;
-* correlational: a d-term sum per element of the correlation vector, then
-  the dot product; no bound is used (HolE ranks are read off these scores).
+* correlational: h convolved with r (tails) or r correlated with t (heads)
+  as a (b, d) block, then a d-term dot product with each candidate in the
+  matmul; no bound is used (HolE ranks are read off these scores).  Each
+  circular product, here and in ``score``, is one d-term ``np.einsum`` sum
+  per element, so a row's ``score`` does not depend on its block.
 
 gamma_m = m u / (1 - m u) with u the unit roundoff.  ``evaluation._slack``
 turns these bounds into the window in which ranks are re-scored exactly.
@@ -53,16 +56,6 @@ def _rows(h, r, t):
     return h, r, t
 
 
-def _per_row(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The 1-D kernel ``f`` on vectors, or on each pair of rows of blocks."""
-    if a.ndim == 1:
-        return f(a, b)
-    out = np.empty(a.shape, np.result_type(a, b))
-    for i, (x, y) in enumerate(zip(a, b)):
-        out[i] = f(x, y)
-    return out
-
-
 def score(kind: ScorerKind, h: np.ndarray, r: np.ndarray, t: np.ndarray):
     """Scores of (b, d) row blocks h, r, t as (b,), or of vectors (the b = 1
     case) as a float.  Each row's dot product is one ``np.vecdot``, so its
@@ -74,7 +67,7 @@ def score(kind: ScorerKind, h: np.ndarray, r: np.ndarray, t: np.ndarray):
     elif kind is ScorerKind.MULTIPLICATIVE:
         out = np.vecdot(h * t, r)
     else:
-        out = np.vecdot(_per_row(circ_correlation, h, t), r)
+        out = np.vecdot(circ_correlation(h, t), r)
     return float(out) if h.ndim == 1 else out
 
 
@@ -92,9 +85,7 @@ def score_grads(kind: ScorerKind, h: np.ndarray, r: np.ndarray,
     if kind is ScorerKind.MULTIPLICATIVE:
         return t * r, h * t, h * r
     # correlational: f = sum_{k,i} r_k h_i t_{(k+i)%d}
-    return (_per_row(circ_correlation, r, t),
-            _per_row(circ_correlation, h, t),
-            _per_row(circ_convolution, h, r))
+    return circ_correlation(r, t), circ_correlation(h, t), circ_convolution(h, r)
 
 
 def _neg_distances(q: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -121,7 +112,7 @@ def score_all_tails(kind: ScorerKind, h: np.ndarray, r: np.ndarray,
         out = (h * r) @ tails.T
     else:
         # (h * t) . r = t . (h circularly convolved with r)
-        out = _per_row(circ_convolution, h, r) @ tails.T
+        out = circ_convolution(h, r) @ tails.T
     return out[0] if single else out
 
 
@@ -137,5 +128,5 @@ def score_all_heads(kind: ScorerKind, heads: np.ndarray, r: np.ndarray,
         out = (t * r) @ heads.T
     else:
         # (h * t) . r = h . (r star t)
-        out = _per_row(circ_correlation, r, t) @ heads.T
+        out = circ_correlation(r, t) @ heads.T
     return out[0] if single else out

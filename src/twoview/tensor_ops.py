@@ -72,38 +72,46 @@ def init_orthogonal(d_out: int, d_in: int, rng: np.random.Generator,
     return q.astype(dtype)
 
 
-def circ_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Circular correlation: out[k] = sum_i a[i] * b[(k + i) % d].
+def _circ_args(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.ndim not in (1, 2):
+        raise TwoViewError(f"expected equal-shape vectors or (n, d) blocks, "
+                           f"got {a.shape} vs {b.shape}")
+    return a, b
 
-    Exact per-definition computation (O(d^2) via one matmul).  The
-    FFT-based fast path is ``circ_correlation_fft``.
+
+def _windows(b: np.ndarray) -> np.ndarray:
+    """Read-only (..., d, d) view w[..., k, i] = b[..., (k + i) % d] over one
+    doubled copy of the rows of ``b``."""
+    b2 = np.concatenate((b, b[..., :-1]), -1)
+    return np.lib.stride_tricks.as_strided(
+        b2, b.shape + b.shape[-1:], b2.strides + b2.strides[-1:], writeable=False)
+
+
+def circ_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Circular correlation: out[..., k] = sum_i a[..., i] * b[..., (k + i) % d].
+
+    Vectors or (n, d) row blocks, row with row, per definition: one d-term
+    ``np.einsum`` sum per output element over a window view of b, so a block
+    row equals the 1-D call on it bitwise.  ``circ_correlation_fft`` is the
+    FFT-based fast path.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise TwoViewError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a.shape[0]
-    idx = (np.arange(d)[:, None] + np.arange(d)[None, :]) % d  # [i, k] -> (k+i)%d
-    return a @ b[idx]
+    a, b = _circ_args(a, b)
+    return np.einsum("...ki,...i->...k", _windows(b), a)
 
 
 def circ_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Circular convolution: out[k] = sum_i a[i] * b[(k - i) % d]."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise TwoViewError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a.shape[0]
-    idx = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d  # [i, k] -> (k-i)%d
-    return a @ b[idx]
+    """Circular convolution: out[..., k] = sum_i a[..., i] * b[..., (k - i) % d],
+    as ``circ_correlation`` with a[..., (-j) % d] in place of a[..., i] (j = -i)."""
+    a, b = _circ_args(a, b)
+    flipped = np.concatenate((a[..., :1], a[..., :0:-1]), -1)   # a[..., (-j) % d]
+    return np.einsum("...ki,...i->...k", _windows(b), flipped)
 
 
 def circ_correlation_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Transform-based circular correlation; matches the definition to ~1e-4 relative."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise TwoViewError(f"shape mismatch: {a.shape} vs {b.shape}")
+    """Transform-based circular correlation of vectors or (n, d) row blocks
+    (FFT along the last axis); matches the definition to ~1e-4 relative."""
+    a, b = _circ_args(a, b)
     return np.real(np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(b))).astype(a.dtype)
 
 

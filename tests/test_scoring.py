@@ -121,6 +121,24 @@ class TestBlockScores:
             rows = [score(kind, *v) for v in zip(h, r, t)]
             assert block.tolist() == rows, d
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_correlational_rows_equal_one_dimensional_score_bitwise(self, dtype):
+        """HolE blocks run one windowed correlation per block; each row must
+        still equal the 1-D ``score`` of that row, and its gradients the 1-D
+        ``score_grads``."""
+        rng = np.random.default_rng(12)
+        for d in (1, 2, 7, 50, 100, 128, 300, 301):
+            table = rng.normal(size=(400, d)).astype(dtype)
+            h, r, t = (table[rng.integers(400, size=100)] for _ in range(3))
+            block = score(ScorerKind.CORRELATIONAL, h, r, t)
+            assert block.shape == (100,) and block.dtype == dtype
+            rows = [score(ScorerKind.CORRELATIONAL, *v) for v in zip(h, r, t)]
+            assert block.tolist() == rows, d
+            grads = score_grads(ScorerKind.CORRELATIONAL, h, r, t)
+            for i in (0, 57, 99):
+                one = score_grads(ScorerKind.CORRELATIONAL, h[i], r[i], t[i])
+                assert all(np.array_equal(g[i], g1) for g, g1 in zip(grads, one)), d
+
     @pytest.mark.parametrize("kind", list(ScorerKind))
     def test_block_grads_equal_rows(self, kind, rng):
         h, r, t = (rng.normal(size=(5, 6)) for _ in range(3))

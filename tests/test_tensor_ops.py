@@ -21,6 +21,12 @@ def corr_definition_oracle(a, b):
     return out
 
 
+def conv_definition_oracle(a, b):
+    d = len(a)
+    return np.array([sum(a[i] * b[(k - i) % d] for i in range(d))
+                     for k in range(d)])
+
+
 class TestInitUnitSphere:
     def test_unit_norms(self, rng):
         vecs = init_unit_sphere(100, 7, rng, dtype=np.float64)
@@ -101,14 +107,61 @@ class TestCircCorrelation:
 
     def test_convolution_matches_definition(self, rng):
         a, b = rng.normal(size=7), rng.normal(size=7)
-        d = 7
-        expected = np.array([sum(a[i] * b[(k - i) % d] for i in range(d))
-                             for k in range(d)])
-        assert np.allclose(circ_convolution(a, b), expected, atol=1e-12)
+        assert np.allclose(circ_convolution(a, b), conv_definition_oracle(a, b),
+                           atol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(TwoViewError):
             circ_correlation(np.zeros(3), np.zeros(4))
+
+
+class TestCircBlocks:
+    """(n, d) row blocks: scoring and training pass whole batches, and each
+    row must come out as the 1-D call on that row would give it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [circ_correlation, circ_convolution])
+    def test_rows_equal_one_dimensional_call_bitwise(self, kernel, dtype):
+        rng = np.random.default_rng(13)
+        for d in (1, 2, 3, 7, 50, 300):
+            table = rng.normal(size=(200, d)).astype(dtype)
+            a, b = (table[rng.integers(200, size=64)] for _ in range(2))
+            block = kernel(a, b)
+            assert block.shape == (64, d) and block.dtype == dtype
+            rows = np.stack([kernel(x, y) for x, y in zip(a, b)])
+            assert np.array_equal(block, rows), d
+
+    @pytest.mark.parametrize("kernel, oracle", [
+        (circ_correlation, corr_definition_oracle),
+        (circ_convolution, conv_definition_oracle)])
+    def test_rows_match_definition(self, kernel, oracle, rng):
+        for d in (1, 2, 3, 7, 50):
+            a, b = rng.normal(size=(2, 5, d))
+            block = kernel(a, b)
+            for i in range(5):
+                assert np.allclose(block[i], oracle(a[i], b[i]), atol=1e-10), d
+
+    def test_hand_example_one_row_block(self):
+        out = circ_correlation(np.array([[1.0, 2.0, 3.0]]),
+                               np.array([[4.0, 5.0, 6.0]]))
+        assert out.shape == (1, 3)
+        assert np.array_equal(out, [[32.0, 29.0, 29.0]])
+
+    def test_fft_block_matches_definition(self, rng):
+        a, b = rng.normal(size=(2, 40, 50))
+        ref = circ_correlation(a, b)
+        fast = circ_correlation_fft(a, b)
+        assert fast.shape == ref.shape
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.max(np.abs(ref - fast) / scale) < 1e-4
+
+    @pytest.mark.parametrize("kernel", [circ_correlation, circ_convolution,
+                                        circ_correlation_fft])
+    @pytest.mark.parametrize("shapes", [((2, 3), (3, 3)), ((2, 3), (2, 4)),
+                                        ((3,), (1, 3)), ((2, 2, 3), (2, 2, 3))])
+    def test_unequal_or_three_dimensional_rejected(self, kernel, shapes):
+        with pytest.raises(TwoViewError):
+            kernel(np.zeros(shapes[0]), np.zeros(shapes[1]))
 
 
 class TestAffineTanh:

@@ -409,22 +409,20 @@ from twoview.training import TrainConfig, train
 
 kb, _ = planted_kb(n_clusters=100)
 data = prepare_splits(kb, SplitSpec(seed=11))
-params, _ = train(data, ModelConfig.from_variant("TransE-CT", 300, 50),
-                  TrainConfig(epochs=1, seed=11, batch_cross=1024,
-                              margins=Margins(cross=10.0)))
+params, _ = train(data, ModelConfig.from_variant({variant!r}, {d_e}, {d_c}),
+                  TrainConfig({config}))
 digest = hashlib.sha256()
 for table in ModelParams.TABLES:
     digest.update(params.table(table).tobytes())
-digest.update(params.ct_map.W.tobytes() + params.ct_map.b.tobytes())
+for m in (params.ct_map, params.ha_map):
+    if m is not None:
+        digest.update(m.W.tobytes() + m.b.tobytes())
 print(digest.hexdigest())
 """
 
 
-def test_parameter_bytes_independent_of_blas_threads():
-    """A BLAS product that sums over the batch, as dz.T @ A for the CT map
-    gradient would, may round differently with the thread count.  The one
-    cross batch here holds all 600 training links, all active under a wide
-    margin; with dz.T @ A in place of the einsum the two digests differ."""
+def _digests_under_blas_threads(**run):
+    """Trained-parameter digests of one run under 1 and 2 BLAS threads."""
     import os
     import subprocess
     import sys
@@ -432,12 +430,36 @@ def test_parameter_bytes_independent_of_blas_threads():
 
     import twoview
     src = str(Path(twoview.__file__).resolve().parents[1])
+    run_src = _THREADS_RUN.format(**run)
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", _THREADS_RUN], env=env,
+        out = subprocess.run([sys.executable, "-c", run_src], env=env,
                              capture_output=True, text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        digests.append(run.stdout.strip())
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.strip())
+    return digests
+
+
+def test_parameter_bytes_independent_of_blas_threads():
+    """A BLAS product that sums over the batch, as dz.T @ A for the CT map
+    gradient would, may round differently with the thread count.  The one
+    cross batch here holds all 600 training links, all active under a wide
+    margin; with dz.T @ A in place of the einsum the two digests differ."""
+    digests = _digests_under_blas_threads(
+        variant="TransE-CT", d_e=300, d_c=50,
+        config="epochs=1, seed=11, batch_cross=1024, margins=Margins(cross=10.0)")
+    assert digests[0] == digests[1]
+
+
+def test_hole_parameter_bytes_independent_of_blas_threads():
+    """The same for HolE's circular products and its HA and CT maps; whole
+    cross and hierarchy sources in one batch each, active under wide
+    margins, as above."""
+    digests = _digests_under_blas_threads(
+        variant="HAHolE-CT", d_e=100, d_c=50,
+        config="epochs=1, seed=11, batch_cross=1024, batch_hierarchy=1024, "
+               "margins=Margins(1.0, 1.0, 10.0, 10.0), "
+               "hierarchical_relations=('subclass_of',)")
     assert digests[0] == digests[1]
