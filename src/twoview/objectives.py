@@ -13,6 +13,7 @@ with their summed rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -97,19 +98,24 @@ class PairBatch:
 
 def _merge(ids: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``ids`` in first-occurrence order with the sums of their
-    rows of ``g``.  A repeated id's rows are summed in occurrence order, by
-    one ``np.add.at``."""
+    rows of ``g``.  A repeated id's rows are summed in occurrence order by one
+    1-D ``np.add.at`` over flat element indices, which adds in index order."""
     order = ids.argsort(kind="stable")
     s = ids[order]
     k = np.arange(len(s)) - s.searchsorted(s)       # occurrence number
     reps = k.nonzero()[0]
     if len(reps) == 0:
         return ids, g
-    keep = order[k == 0]
-    keep.sort()
-    out = g[keep]
-    np.add.at(out, keep.searchsorted(order[reps - k[reps]]), g[order[reps]])
+    keep = np.sort(order[k == 0])
+    out, d = g[keep], g.shape[1]
+    flat = keep.searchsorted(order[reps - k[reps]])[:, None] * d + np.arange(d)
+    np.add.at(out.reshape(-1), flat.reshape(-1), g[order[reps]].reshape(-1))
     return ids[keep], out
+
+
+def _id_rows(items, width: int) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(items), np.intp,
+                       width * len(items)).reshape(-1, width)
 
 
 class GradAccum:
@@ -221,13 +227,12 @@ def intra_hinge_loss(kind: ScorerKind, batch: TripleBatch, margin: float,
     if len(batch) == 0:
         raise TwoViewError("intra-view batch is empty")
     node_table, edge_table = VIEW_TABLES[view]
-    nodes = params.table(node_table)
-    edges = params.table(edge_table)
+    nodes, edges = params.table(node_table), params.table(edge_table)
 
     def rows(trip):
         return nodes[trip[:, 0]], edges[trip[:, 1]], nodes[trip[:, 2]]
 
-    pos, neg = (np.array(side, dtype=np.intp) for side in (batch.pos, batch.neg))
+    pos, neg = (_id_rows(side, 3) for side in (batch.pos, batch.neg))
     bracket = (margin + score(kind, *rows(neg)).astype(np.float64)
                - score(kind, *rows(pos)))
     active = bracket > 0.0
@@ -265,7 +270,7 @@ def cg_loss(batch: PairBatch, margin: float, use_negatives: bool,
         raise ConfigError("CG requires equal entity and concept dimensions")
     if use_negatives and batch.neg_second is None:
         raise TwoViewError("negative concepts required for the sampled CG mode")
-    e, c = np.array(batch.pos, dtype=np.intp).T
+    e, c = _id_rows(batch.pos, 2).T
     ents = params.entities[e]
     u_pos, d_pos = unit_rows(params.concepts[c] - ents)
     if use_negatives:
@@ -304,13 +309,12 @@ def _transform_hinge(batch: PairBatch, margin: float, params: ModelParams,
     if batch.neg_second is None:
         raise TwoViewError("transformation losses require negative targets")
     m = params.map(map_name)
-    anchors = params.table(anchor_table)
-    targets = params.table(target_table)
+    anchors, targets = params.table(anchor_table), params.table(target_table)
     if m.d_in != anchors.shape[1] or m.d_out != targets.shape[1]:
         raise ConfigError(
             f"map {map_name!r} of shape {m.W.shape} does not fit tables "
             f"{anchor_table}({anchors.shape[1]}) -> {target_table}({targets.shape[1]})")
-    a, pos_t = np.array(batch.pos, dtype=np.intp).T
+    a, pos_t = _id_rows(batch.pos, 2).T
     neg_t = np.asarray(batch.neg_second, dtype=np.intp)
     av = anchors[a]
     proj = affine_tanh(m, av)

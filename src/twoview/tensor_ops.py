@@ -84,8 +84,9 @@ def _windows(b: np.ndarray) -> np.ndarray:
     """Read-only (..., d, d) view w[..., k, i] = b[..., (k + i) % d] over one
     doubled copy of the rows of ``b``."""
     b2 = np.concatenate((b, b[..., :-1]), -1)
-    return np.lib.stride_tricks.as_strided(
-        b2, b.shape + b.shape[-1:], b2.strides + b2.strides[-1:], writeable=False)
+    w = np.ndarray(b.shape + b.shape[-1:], b2.dtype, b2, 0, b2.strides + b2.strides[-1:])
+    w.flags.writeable = False
+    return w
 
 
 def circ_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:

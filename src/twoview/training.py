@@ -105,12 +105,20 @@ def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
 
 
 def _amsgrad(arr: np.ndarray, mom: _Moments, idx, g: np.ndarray, rate: float) -> None:
-    """AMSGrad on ``arr[idx]`` and its moments, in place, for gradient ``g``."""
-    m = BETA1 * mom.m[idx] + (1.0 - BETA1) * g
-    v = BETA2 * mom.v[idx] + (1.0 - BETA2) * g * g
+    """AMSGrad on ``arr[idx]`` and its moments for gradient ``g``, in place in
+    the order b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g, rate*m / (sqrt(vhat) + eps)."""
+    m, v = mom.m[idx], mom.v[idx]                   # views when idx is ...
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    t = (1.0 - BETA2) * g
+    t *= g
+    v *= BETA2
+    v += t
     vhat = np.maximum(mom.vhat[idx], v)
     mom.m[idx], mom.v[idx], mom.vhat[idx] = m, v, vhat
-    arr[idx] -= (rate * m / (np.sqrt(vhat) + EPS)).astype(arr.dtype)
+    step = np.sqrt(vhat, out=vhat)                  # vhat is written back
+    step += EPS
+    arr[idx] -= np.divide(rate * m, step, out=step)
 
 
 @dataclass(frozen=True)

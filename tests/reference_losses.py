@@ -5,6 +5,10 @@ Each function loops over the batch one pair at a time with 1-D ``score``,
 keyed by (table, row id), the way the losses were computed before they were
 batched.  Each returns the same (loss, GradAccum) as the batched loss of the
 same name in ``twoview.objectives``.
+
+``merge`` and ``amsgrad`` are the earlier forms of ``objectives._merge``
+(one row-wise ``np.add.at``) and ``training._amsgrad`` (one expression per
+moment and for the step), which the current forms match bitwise.
 """
 
 import numpy as np
@@ -13,6 +17,32 @@ from twoview.model import VIEW_TABLES
 from twoview.objectives import GradAccum
 from twoview.scoring import score, score_grads
 from twoview.tensor_ops import affine_tanh
+from twoview.training import BETA1, BETA2, EPS
+
+
+def merge(ids, g):
+    """``objectives._merge`` with the repeated rows added by one row-wise
+    ``np.add.at``."""
+    order = ids.argsort(kind="stable")
+    s = ids[order]
+    k = np.arange(len(s)) - s.searchsorted(s)
+    reps = k.nonzero()[0]
+    if len(reps) == 0:
+        return ids, g
+    keep = order[k == 0]
+    keep.sort()
+    out = g[keep]
+    np.add.at(out, keep.searchsorted(order[reps - k[reps]]), g[order[reps]])
+    return ids[keep], out
+
+
+def amsgrad(arr, mom, idx, g, rate):
+    """``training._amsgrad`` with each moment and the step one expression."""
+    m = BETA1 * mom.m[idx] + (1.0 - BETA1) * g
+    v = BETA2 * mom.v[idx] + (1.0 - BETA2) * g * g
+    vhat = np.maximum(mom.vhat[idx], v)
+    mom.m[idx], mom.v[idx], mom.vhat[idx] = m, v, vhat
+    arr[idx] -= (rate * m / (np.sqrt(vhat) + EPS)).astype(arr.dtype)
 
 
 class _Rows:

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from twoview import training
+from twoview import objectives, training
 from twoview.dataio import prepare_splits
 from twoview.diagnostics import (check_cross_gradients, check_intra_gradients,
                                  _random_params)
@@ -323,20 +325,125 @@ class TestMerge:
         g.add_rows("entities", [3, 3, 3, 3], np.array([[1e16], [1.0], [-1e16], [1.0]]))
         assert g.blocks["entities"][1].tolist() == [[1.0]]
 
+    @staticmethod
+    def _assert_sequential_fold(ids, rows):
+        """The merged block equals, bitwise, each distinct id's rows added
+        one at a time in occurrence order, ids in first-occurrence order."""
+        sums = {}
+        for i, row in zip(ids.tolist(), rows):
+            if i in sums:
+                sums[i] += row
+            else:
+                sums[i] = row.copy()
+        g = GradAccum()
+        g.add_rows("entities", ids, rows)
+        merged_ids, block = g.blocks["entities"]
+        assert merged_ids.tolist() == list(sums)
+        assert block.dtype == rows.dtype
+        assert block.tobytes() == np.array(list(sums.values())).tobytes()
 
-def _epoch_params(data, model, config):
-    """Float64 parameters after one ``train_epoch`` from a fixed start."""
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_instance_block_shape(self, dtype):
+        """2,048 x 300 rows, about 43% of them repeated ids."""
+        rng = np.random.default_rng(5)
+        ids = rng.integers(1630, size=2048)
+        assert 0.40 < 1 - len(np.unique(ids)) / len(ids) < 0.46
+        self._assert_sequential_fold(ids, rng.normal(size=(2048, 300)).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relation_block_shape(self, dtype):
+        """1,024 x 300 rows over 34 Zipf-drawn ids, one of them 150+ times."""
+        rng = np.random.default_rng(6)
+        p = 1.0 / np.arange(1, 35)
+        ids = rng.choice(34, size=1024, p=p / p.sum())
+        assert np.bincount(ids).max() >= 150
+        self._assert_sequential_fold(ids, rng.normal(size=(1024, 300)).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_six_row_block(self, dtype):
+        rows = np.random.default_rng(7).normal(size=(6, 5)).astype(dtype)
+        self._assert_sequential_fold(np.array([2, 9, 2, 2, 5, 9]), rows)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_contiguous_rows(self, dtype):
+        rng = np.random.default_rng(8)
+        wide = rng.normal(size=(512, 400)).astype(dtype)
+        ids = rng.integers(200, size=512)
+        for rows in (wide[:, 50:350], np.asfortranarray(wide)[:, ::2]):
+            assert not rows.flags.c_contiguous
+            self._assert_sequential_fold(ids, rows)
+
+
+class TestBatchIdTypes:
+    """Batches of Triples, plain tuples or np.int64 tuples give the same
+    loss and the same gradient bytes."""
+
+    @staticmethod
+    def _assert_same(result, other):
+        (loss, grads), (other_loss, other_grads) = result, other
+        assert loss == other_loss and grads.blocks
+        assert grads.blocks.keys() == other_grads.blocks.keys()
+        assert grads.maps.keys() == other_grads.maps.keys()
+        for table, (ids, block) in grads.blocks.items():
+            other_ids, other_block = other_grads.blocks[table]
+            assert ids.tolist() == other_ids.tolist()
+            assert block.tobytes() == other_block.tobytes(), table
+        for name, arrays in grads.maps.items():
+            for a, b in zip(arrays, other_grads.maps[name]):
+                assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("kind", list(ScorerKind))
+    def test_intra_loss(self, kind):
+        rng = np.random.default_rng(9)
+        params = _random_params(rng)
+        sides = rng.integers([6, 4, 6], size=(2, 16, 3))
+        batches = [TripleBatch(*([make(t) for t in side] for side in sides))
+                   for make in (lambda t: Triple(*t.tolist()),
+                                lambda t: tuple(t.tolist()),
+                                lambda t: tuple(np.int64(x) for x in t))]
+        results = [intra_hinge_loss(kind, b, 1.0, params, "instance") for b in batches]
+        for other in results[1:]:
+            self._assert_same(results[0], other)
+
+    def test_pair_losses(self):
+        rng = np.random.default_rng(10)
+        params = _random_params(rng, with_ct=True, with_ha=True)
+        pos, neg = rng.integers(6, size=(16, 2)), rng.integers(6, size=16)
+        plain = PairBatch([tuple(p.tolist()) for p in pos], neg.tolist())
+        numpy_ints = PairBatch([tuple(np.int64(x) for x in p) for p in pos],
+                               [np.int64(c) for c in neg])
+        for loss in (lambda b: cg_loss(b, 0.5, True, params),
+                     lambda b: cg_loss(PairBatch(b.pos), 0.5, False, params),
+                     lambda b: ct_loss(b, 0.5, params),
+                     lambda b: ha_loss(b, 0.5, params)):
+            self._assert_same(loss(plain), loss(numpy_ints))
+
+    def test_empty_batches_rejected(self):
+        params = _random_params(np.random.default_rng(0), with_ct=True, with_ha=True)
+        empty = TripleBatch([], [])
+        for call in (lambda: intra_hinge_loss(ScorerKind.TRANSLATIONAL, empty, 0.5,
+                                              params, "instance"),
+                     lambda: cg_loss(PairBatch([]), 0.5, False, params),
+                     lambda: ct_loss(PairBatch([], []), 0.5, params),
+                     lambda: ha_loss(PairBatch([], []), 0.5, params)):
+            with pytest.raises(TwoViewError, match="batch is empty"):
+                call()
+
+
+def _epoch_state(data, model, config, dtype=np.float64):
+    """Parameters and AMSGrad state after one ``train_epoch`` from a fixed
+    start."""
     params = ModelParams.init(model, len(data.entities), len(data.relations),
                               len(data.concepts), len(data.meta_relations),
-                              np.random.default_rng(0), dtype=np.float64)
+                              np.random.default_rng(0), dtype=dtype)
     ontology, hierarchy = data.ontology_train, None
     if model.hierarchy_aware:
         hierarchy, ontology = extract_hierarchy(
             data.ontology_train, [SUBCLASS], data.meta_relations)
-    train_epoch(params, OptimizerState.init(params), data, model, config,
-                np.random.default_rng(1), ontology_store=ontology,
-                hierarchy=hierarchy)
-    return params
+    state = OptimizerState.init(params)
+    train_epoch(params, state, data, model, config, np.random.default_rng(1),
+                ontology_store=ontology, hierarchy=hierarchy)
+    return params, state
 
 
 @pytest.mark.parametrize("variant, sampled", [
@@ -353,10 +460,10 @@ def test_batched_epoch_matches_per_pair_losses(variant, sampled, monkeypatch):
                          batch_cross=64, batch_hierarchy=8, learning_rate=0.01,
                          margins=Margins.defaults_for(model.intra),
                          cross_negative_sampling=sampled)
-    batched = _epoch_params(data, model, config)
+    batched, _ = _epoch_state(data, model, config)
     for name in ("intra_hinge_loss", "cg_loss", "ct_loss", "ha_loss"):
         monkeypatch.setattr(training, name, getattr(reference_losses, name))
-    oracle = _epoch_params(data, model, config)
+    oracle, _ = _epoch_state(data, model, config)
     for name in ModelParams.TABLES:
         np.testing.assert_allclose(batched.table(name), oracle.table(name),
                                    rtol=1e-6, atol=0, err_msg=name)
@@ -365,3 +472,34 @@ def test_batched_epoch_matches_per_pair_losses(variant, sampled, monkeypatch):
             for a, b in zip((batched.map(name).W, batched.map(name).b),
                             (oracle.map(name).W, oracle.map(name).b)):
                 np.testing.assert_allclose(a, b, rtol=1e-6, atol=0, err_msg=name)
+
+
+def _state_digests(params, state):
+    """SHA-256 of every parameter and AMSGrad moment array, by name."""
+    arrays = {}
+    for name, mom in state.tables.items():
+        arrays[name] = params.table(name)
+        arrays.update({f"{name}.{k}": a for k, a in vars(mom).items()})
+    for name, moms in state.maps.items():
+        amap = params.map(name)
+        for part, arr, mom in zip("Wb", (amap.W, amap.b), moms):
+            arrays[f"{name}.{part}"] = arr
+            arrays.update({f"{name}.{part}.{k}": a for k, a in vars(mom).items()})
+    return {k: hashlib.sha256(a.tobytes()).hexdigest() for k, a in arrays.items()}
+
+
+@pytest.mark.parametrize("variant", ["TransE-CT", "HAHolE-CT"])
+def test_epoch_bytes_equal_row_wise_merge_and_expression_amsgrad(variant, monkeypatch):
+    """A float32 epoch with the flat 1-D ``np.add.at`` merge and the
+    in-place AMSGrad ends in the same parameter and moment bytes as one with
+    the row-wise merge and the one-expression update."""
+    kb, _ = planted_kb()
+    data = prepare_splits(kb, SplitSpec(seed=3))
+    model = ModelConfig.from_variant(variant, 12, 8)
+    config = TrainConfig(epochs=1, batch_instance=128, batch_ontology=16,
+                         batch_cross=64, batch_hierarchy=8, learning_rate=0.01,
+                         margins=Margins.defaults_for(model.intra))
+    current = _state_digests(*_epoch_state(data, model, config, np.float32))
+    monkeypatch.setattr(objectives, "_merge", reference_losses.merge)
+    monkeypatch.setattr(training, "_amsgrad", reference_losses.amsgrad)
+    assert current == _state_digests(*_epoch_state(data, model, config, np.float32))

@@ -8,7 +8,7 @@ from twoview.tensor_ops import (AffineMap, affine_tanh, affine_tanh_pinv,
                                 circ_convolution, circ_correlation,
                                 circ_correlation_fft, finite_diff_check,
                                 init_orthogonal, init_unit_sphere,
-                                project_rows_unit_norm)
+                                project_rows_unit_norm, _windows)
 
 
 def corr_definition_oracle(a, b):
@@ -140,6 +140,14 @@ class TestCircBlocks:
             block = kernel(a, b)
             for i in range(5):
                 assert np.allclose(block[i], oracle(a[i], b[i]), atol=1e-10), d
+
+    def test_window_view_is_read_only(self):
+        for b in (np.arange(5.0), np.arange(12.0).reshape(3, 4)):
+            w = _windows(b)
+            assert not w.flags.writeable
+            assert np.array_equal(w[..., 1, :], np.roll(b, -1, axis=-1))
+            with pytest.raises(ValueError):
+                w[..., 0, 0] = 1.0
 
     def test_hand_example_one_row_block(self):
         out = circ_correlation(np.array([[1.0, 2.0, 3.0]]),
