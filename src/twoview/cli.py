@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -19,7 +20,7 @@ from .errors import TwoViewError, UnknownSymbolError
 from .evaluation import (entity_typing_eval, long_tail_eval,
                          populate_relation_query, populate_triple_query,
                          top_tails, triple_completion_eval, typing_scores)
-from .kb import dataset_stats, entity_frequency, load_kb
+from .kb import CrossLinkStore, dataset_stats, entity_frequency, load_kb
 from .model import VIEW_TABLES, ModelParams
 from .training import train
 
@@ -90,13 +91,12 @@ def _load_for_eval(cfg: RunConfig, checkpoint_path):
 
 
 def _filter_stores(data, view, mode):
-    train_store = getattr(data, f"{view}_train")
+    """The stores ``mode`` filters by: none, the train split, or (strict)
+    every split of ``view`` (links have no valid split)."""
     if mode == "none":
         return []
-    stores = [train_store]
-    if mode == "strict":
-        stores += [getattr(data, f"{view}_valid"), getattr(data, f"{view}_test")]
-    return stores
+    parts = ("train", "valid", "test") if mode == "strict" else ("train",)
+    return [getattr(data, f"{view}_{p}") for p in parts if hasattr(data, f"{view}_{p}")]
 
 
 def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
@@ -106,7 +106,6 @@ def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
     out.mkdir(parents=True, exist_ok=True)
     settings = cfg.eval
     reports = []
-    typing_vocabs = (data.entities, data.concepts)
     if task == "triples":
         for view in ("instance", "ontology"):
             rep = triple_completion_eval(
@@ -118,17 +117,18 @@ def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
             nodes, edges = (getattr(data, name) for name in VIEW_TABLES[view])
             reports.append((f"report_triples_{view}.json", rep,
                             (nodes, edges, nodes)))
-    elif task == "typing":
-        rep = entity_typing_eval(params, model, data.links_test,
-                                 data.links_train, ks=settings.ks,
-                                 filter_mode=settings.filter_mode)
-        reports.append(("report_typing.json", rep, typing_vocabs))
-    elif task == "longtail":
-        rep = long_tail_eval(params, model, data.links_test,
-                             entity_frequency(data.instance_train),
-                             settings.longtail_threshold, data.links_train,
-                             ks=settings.ks)
-        reports.append(("report_longtail.json", rep, typing_vocabs))
+    elif task in ("typing", "longtail"):
+        links = CrossLinkStore(chain.from_iterable(
+            _filter_stores(data, "links", settings.filter_mode)))
+        if task == "typing":
+            rep = entity_typing_eval(params, model, data.links_test, links,
+                                     ks=settings.ks, filter_mode=settings.filter_mode)
+        else:
+            rep = long_tail_eval(params, model, data.links_test,
+                                 entity_frequency(data.instance_train),
+                                 settings.longtail_threshold, links,
+                                 ks=settings.ks, filter_mode=settings.filter_mode)
+        reports.append((f"report_{task}.json", rep, (data.entities, data.concepts)))
     else:
         raise TwoViewError(f"unknown eval task {task!r}")
 

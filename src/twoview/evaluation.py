@@ -6,13 +6,14 @@ unfiltered candidates, resolving ties mid-rank: rank = 1 + #better +
 ceil(#tied / 2), which is deterministic and biases neither optimistically
 nor pessimistically.  ``_top_k`` lists the best candidates, ties by
 ascending id.  A block holds at most ``BLOCK_ELEMENTS`` query x candidate
-scores.  Triple completion scores a block per direction with one matmul
-and filters it through sorted integer keys; typing ranks a block of
-per-entity ``concept_distances`` rows.  Translational and multiplicative
-triple ranks and ``top_tails`` lists equal ``rank_candidates`` over
-``score`` exactly: the candidates within a rounding window are re-scored
-by one ``score`` call per block over gathered rows.  Correlational ones
-come from the batched scores and may be one off on ulp-close ties.
+scores, from one matmul: per direction for triple completion, filtered by
+sorted integer keys; typing is the translational tail query (the entity's
+image, a zero relation, the concepts).  Translational and multiplicative
+ranks and ``top_tails`` lists equal ``rank_candidates`` over ``score``
+(``concept_distances`` for typing) exactly: the candidates within a
+rounding window are re-scored by one such call per block over gathered
+rows.  Correlational ones come from the batched scores and may be one off
+on ulp-close ties.
 """
 
 from __future__ import annotations
@@ -101,22 +102,24 @@ def _rank(fast: np.ndarray, gold, drop, width: np.ndarray | None = None,
     (``_slack``), the gold and every candidate inside the window are
     re-scored in one call ``exact(rows, candidates)``, which scores the
     pairs of two index arrays as ``score`` does, and the ranks equal
-    ``rank_candidates`` over ``score``.
+    ``rank_candidates`` over ``score``.  ``fast`` is overwritten: the
+    dropped pairs and the golds become NaN, which no comparison counts.
     """
     rows = np.arange(len(gold))
-    keep = np.ones(fast.shape, dtype=bool)
-    keep[drop] = False
-    keep[rows, gold] = False
     g = fast[rows, gold]
+    fast[drop] = np.nan
+    fast[rows, gold] = np.nan
     if width is None:
-        better = np.count_nonzero(keep & (fast > g[:, None]), axis=1)
-        tied = np.count_nonzero(keep & (fast == g[:, None]), axis=1)
+        better = np.count_nonzero(fast > g[:, None], axis=1)
+        tied = np.count_nonzero(fast == g[:, None], axis=1)
         return (1 + better + (tied + 1) // 2).tolist()
     g = g.astype(np.float64)
     above = fast > _outward(g + width, fast.dtype, np.inf)[:, None]
-    better = np.count_nonzero(keep & above, axis=1)
-    near = keep & ~above & (fast >= _outward(g - width, fast.dtype, -np.inf)[:, None])
-    i, c = np.nonzero(near)
+    near = fast >= _outward(g - width, fast.dtype, -np.inf)[:, None]
+    near ^= above   # all above the ceiling are above the floor: keep the window
+    better = np.count_nonzero(above, axis=1)
+    i, c = np.divmod(np.flatnonzero(near), fast.shape[1])  # 2-D nonzero is ~10x slower
+    del above, near     # the masks are not alive while ``exact`` gathers rows
     s = exact(np.concatenate((rows, i)), np.concatenate((gold, c)))
     s, s_gold = s[len(rows):], s[:len(rows)][i]
     better += np.bincount(i[s > s_gold], minlength=len(rows))
@@ -152,6 +155,8 @@ def _slack(kind: ScorerKind, anchor: np.ndarray, r: np.ndarray, heads: bool,
     (the head, or the tail if ``heads``) and ``r[i]``, whose gold answer has
     the batched score ``gold_fast[i]``; ``max_norm`` bounds every candidate
     row's norm.  Correlational scores are ranked as they are (None).
+    Typing is the translational tail case with r = 0: q = fl(p + 0) = p, and
+    ``concept_distances`` computes fl(||fl(x_c - p)||) as ``score`` does.
 
     With d the dimension, u the unit roundoff and gamma_m = m u / (1 - m u),
     a sum of m terms each rounded once is off by at most gamma_m times the
@@ -356,63 +361,68 @@ def top_tails(params: ModelParams, kind: ScorerKind, head: int, relation: int,
 
 def typing_scores(params: ModelParams, config: ModelConfig,
                   entity: int) -> list[tuple[int, float]]:
-    """Concepts ranked by distance from the entity's image in concept space.
-
-    CG measures ||c - e|| directly; CT measures distance from the
-    transformed entity.  Ascending distance, stable by concept id on ties.
-    """
+    """Every concept by ascending ``concept_distances`` from the entity,
+    stable by concept id on ties."""
     distances = concept_distances(params, config, entity)
     return [(c, float(distances[c])) for c in _top_k(-distances)]
 
 
-def concept_distances(params: ModelParams, config: ModelConfig,
-                      entity: int) -> np.ndarray:
-    e = params.entities[entity]
-    if config.cross == CrossKind.GROUPING:
-        point = e
-    else:
-        point = affine_tanh(params.map("ct"), e)
-    return np.linalg.norm(params.concepts - point[None, :], axis=1)
+def _images(params: ModelParams, config: ModelConfig, e: np.ndarray) -> np.ndarray:
+    """Entity rows ``e`` in concept space: e under CG, tanh(W e + b) under CT."""
+    return e if config.cross == CrossKind.GROUPING else affine_tanh(params.map("ct"), e)
+
+
+def concept_distances(params: ModelParams, config: ModelConfig, entity,
+                      concepts: np.ndarray | None = None) -> np.ndarray:
+    """(n_c,) distances from the image of an int ``entity`` to every concept,
+    or (k,) ones of each pair of equal-length id arrays ``entity`` and
+    ``concepts``.  Both forms compute ``np.linalg.norm(rows - point,
+    axis=-1)``, so a pair equals its entry of the full row bitwise."""
+    point = _images(params, config, params.entities[entity])
+    rows = params.concepts if concepts is None else params.concepts[concepts]
+    return np.linalg.norm(rows - point, axis=-1)
 
 
 def entity_typing_eval(params: ModelParams, config: ModelConfig,
                        test_links: CrossLinkStore,
                        train_links: CrossLinkStore | None = None,
-                       ks=(1, 3, 10),
-                       filter_mode: str = "train") -> EvalReport:
+                       ks=(1, 3, 10), filter_mode: str = "train") -> EvalReport:
     """One ranking query per test link.
 
-    For multi-label entities, the other gold concepts of the same entity
-    that appear in the training link set are filtered from the candidates.
-    Ranks are read off ``concept_distances``, one call per link, as they
-    are; blocks of ``BLOCK_ELEMENTS // n`` links are ranked together.
+    The entity's concepts in ``train_links`` (the filter links), other than
+    the gold, are filtered from the candidates.  A block of ``BLOCK_ELEMENTS
+    // n_c`` links is mapped by one ``affine_tanh`` call and scored by one
+    ``score_all_tails`` call; the window is re-scored by one
+    ``concept_distances`` call, so ranks equal ``rank_candidates`` over it.
     """
     if len(test_links) == 0:
         raise EvalError("test link store is empty")
     by_entity = train_links.by_entity if train_links is not None else {}
-    links = list(test_links)
-    n = params.concepts.shape[0]
-    row = np.dtype((np.result_type(params.concepts, params.entities), n))
-    step = max(1, BLOCK_ELEMENTS // n)
+    links = np.array(list(test_links), dtype=np.intp)
+    concepts = params.concepts
+    max_norm = _max_norm(concepts)
+    step = max(1, BLOCK_ELEMENTS // concepts.shape[0])
     ranks = []
     for start in range(0, len(links), step):
-        block = links[start:start + step]
-        fast = np.fromiter((concept_distances(params, config, e) for e, _ in block),
-                           row, len(block))
-        np.negative(fast, out=fast)
-        drop = [(i, c) for i, (e, _) in enumerate(block) for c in by_entity.get(e, ())]
-        ranks += _rank(fast, [c for _, c in block],
-                       tuple(np.array(drop, dtype=np.intp).reshape(-1, 2).T))
-        del fast    # one block's distances alive at a time
+        ents, gold = links[start:start + step].T
+        points = _images(params, config, params.entities[ents])
+        zeros = np.zeros_like(points)
+        fast = score_all_tails(ScorerKind.TRANSLATIONAL, points, zeros, concepts)
+        width = _slack(ScorerKind.TRANSLATIONAL, points, zeros, False, max_norm,
+                       fast[np.arange(len(gold)), gold])
+        drop = [(i, c) for i, e in enumerate(ents.tolist()) for c in by_entity.get(e, ())]
+        ranks += _rank(fast, gold, tuple(np.array(drop, dtype=np.intp).reshape(-1, 2).T),
+                       width, lambda i, c: -concept_distances(params, config, ents[i], c))
+        del fast    # one block's scores alive at a time
     return _aggregate("entity_typing", ranks, ks, variant=config.variant,
                       filter_mode=filter_mode,
-                      queries=[((e, None), c) for e, c in links])
+                      queries=[((e, None), c) for e, c in test_links])
 
 
 def long_tail_eval(params: ModelParams, config: ModelConfig,
                    test_links: CrossLinkStore, freq: dict[int, int],
                    threshold: int, train_links: CrossLinkStore | None = None,
-                   ks=(1, 3, 10)) -> EvalReport:
+                   ks=(1, 3, 10), filter_mode: str = "train") -> EvalReport:
     """Entity typing restricted to entities seen fewer than ``threshold`` times."""
     if threshold < 1:
         raise EvalError(f"long-tail threshold must be >= 1, got {threshold}")
@@ -420,8 +430,8 @@ def long_tail_eval(params: ModelParams, config: ModelConfig,
     if not kept:
         raise EvalError(
             f"long-tail slice at threshold {threshold} contains no test links")
-    sliced = CrossLinkStore(kept)
-    report = entity_typing_eval(params, config, sliced, train_links, ks)
+    report = entity_typing_eval(params, config, CrossLinkStore(kept), train_links,
+                                ks, filter_mode)
     report.task = "long_tail_typing"
     report.slice = {
         "threshold": threshold,

@@ -121,14 +121,16 @@ def affine_tanh(m: AffineMap, x: np.ndarray) -> np.ndarray:
 
     Outputs are strictly inside (-1, 1): floating-point tanh saturates to
     exactly +-1 for large inputs, so saturated values are pulled in by one
-    ulp to keep the open-interval contract (and artanh finite).  A batch is
-    mapped by ``np.einsum``, as ``objectives._transform_hinge`` explains.
+    ulp to keep the open-interval contract (and artanh finite).  Both forms
+    go through one ``np.einsum`` (a vector is the b = 1 case), as
+    ``objectives._transform_hinge`` explains, so a batch row equals the 1-D
+    call on it bitwise.
     """
     x = np.asarray(x)
     if x.shape[-1] != m.d_in:
         raise TwoViewError(
             f"input dim {x.shape[-1]} does not match map input dim {m.d_in}")
-    z = m.W @ x if x.ndim == 1 else np.einsum("bi,oi->bo", x, m.W)
+    z = np.einsum("...i,oi->...o", x, m.W)
     out = np.tanh(z + m.b)
     one = out.dtype.type(1.0)
     return np.clip(out, np.nextafter(-one, one), np.nextafter(one, -one))

@@ -182,6 +182,45 @@ def test_dump_ranks_labels_each_query(workspace, tmp_path, capsys):
     assert len(entities) == report["slice"]["n_entities"]
 
 
+def test_typing_filter_mode_is_the_filter_applied(workspace, tmp_path, capsys):
+    """Typing and long-tail reports name the filter their ranks used: none
+    filters nothing, train the train links, strict the train and test links
+    (never the gold), so ranks can only fall from one mode to the next.
+    Each entity gets two more concepts, so that every mode filters some."""
+    root, cfg_path, config, _ = workspace
+    ckpt = Path(config["output_dir"]) / "checkpoint.ckpt"
+    links = Path(config["dataset"]["links"]).read_text().splitlines()
+    extra = [f"{line.split()[0]}\tconcept{(i + j) % 20:02d}"
+             for i, line in enumerate(links) for j in (3, 7)]
+    base = json.loads(Path(cfg_path).read_text())
+    base["dataset"]["links"] = str(tmp_path / "links.tsv")
+    base["dataset"]["split_dir"] = str(tmp_path / "splits")
+    Path(base["dataset"]["links"]).write_text("\n".join(links + extra) + "\n")
+    (tmp_path / "base.json").write_text(json.dumps(base))
+    assert main(["prepare", "--config", str(tmp_path / "base.json")]) == 0
+    ranks = {}
+    for mode in ("none", "train", "strict"):
+        cfg = json.loads(json.dumps(base))
+        cfg["eval"].update(filter_mode=mode, longtail_threshold=30)
+        cfg["output_dir"] = str(tmp_path / mode)
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(cfg))
+        for task in ("typing", "longtail"):
+            assert main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                         "--task", task, "--dump-ranks"]) == 0
+            out = tmp_path / mode
+            report = json.loads((out / f"report_{task}.json").read_text())
+            assert report["filter_mode"] == mode
+            ranks[mode, task] = [int(line.split("\t")[2]) for line in
+                                 (out / f"ranks_{task}.tsv").read_text().splitlines()]
+    capsys.readouterr()
+    for task in ("typing", "longtail"):
+        none, train, strict = (ranks[mode, task] for mode in ("none", "train", "strict"))
+        assert len(none) == len(train) == len(strict)
+        assert all(a >= b >= c for a, b, c in zip(none, train, strict))
+        assert none != train and train != strict
+
+
 def test_eval_refuses_wrong_dataset(workspace, tmp_path, capsys):
     root, cfg_path, config, _ = workspace
     ckpt = Path(config["output_dir"]) / "checkpoint.ckpt"

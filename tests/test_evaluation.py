@@ -472,6 +472,109 @@ class TestEntityTypingEval:
         assert rep.queries == [((e, None), c) for e, c in data.links_test]
 
 
+def planted_typing(variant, d_e, n_links=40, copies=2, near=30, seed=0):
+    """float32 parameters with d_c = 50 and, for each of ``n_links`` test
+    links, its gold concept moved to within 1e-3 of the entity's image, then
+    ``copies`` exact copies and ``near`` one-ulp neighbours of the gold row
+    (one to three coordinates moved by one ulp) planted among the other
+    concepts.  Returns (config, params, test links, filter links); the
+    filter links hold the entity's first copy."""
+    rng = np.random.default_rng(seed)
+    config = ModelConfig.from_variant(variant, d_e, 50)
+    n_c = 100 + n_links * (1 + copies + near)
+    params = ModelParams.init(config, 3 * n_links, 2, n_c, 2, rng)
+    if params.ct_map is not None:
+        params.ct_map.b[:] = 0.1 * rng.standard_normal(50)
+    ents = rng.choice(3 * n_links, n_links, replace=False).tolist()
+    golds = rng.choice(n_c, n_links, replace=False).tolist()
+    spare = iter(rng.permutation(np.setdiff1d(np.arange(n_c), golds)).tolist())
+    test, train = CrossLinkStore(), CrossLinkStore()
+    for e, g in zip(ents, golds):
+        point = evaluation._images(params, config, params.entities[e])
+        params.concepts[g] = point + 1e-3 * rng.standard_normal(50)
+        for j in range(copies):
+            c = next(spare)
+            params.concepts[c] = params.concepts[g]
+            if j == 0:
+                train.add(e, c)
+        for _ in range(near):
+            row = params.concepts[g].copy()
+            k = rng.choice(50, int(rng.integers(1, 4)), replace=False)
+            row[k] = np.nextafter(row[k], np.where(rng.random(len(k)) < 0.5,
+                                                   np.float32(-1), np.float32(1)))
+            params.concepts[next(spare)] = row
+        test.add(e, g)
+    return config, params, test, train
+
+
+def typing_oracle(params, config, test, train):
+    """``rank_candidates`` over the 1-D ``concept_distances`` of each link."""
+    out = []
+    for e, c in test:
+        d = concept_distances(params, config, e)
+        out.append(rank_candidates({i: -float(x) for i, x in enumerate(d)}, c,
+                                   set(train.by_entity.get(e, ())) - {c}))
+    return out
+
+
+class TestTypingExactness:
+    @pytest.mark.parametrize("variant, d_e", [("TransE-CT", 300), ("TransE-CG", 50)])
+    def test_pairs_equal_full_rows_bitwise(self, variant, d_e):
+        config, params, _, _ = planted_typing(variant, d_e, n_links=10)
+        rng = np.random.default_rng(1)
+        ents = rng.integers(0, params.entities.shape[0], size=200)
+        cs = rng.integers(0, params.concepts.shape[0], size=200)
+        pairs = concept_distances(params, config, ents, cs)
+        full = np.stack([concept_distances(params, config, int(e)) for e in ents])
+        assert pairs.dtype == full.dtype == np.float32
+        assert pairs.tobytes() == full[np.arange(200), cs].tobytes()
+
+    @pytest.mark.parametrize("variant, d_e", [("TransE-CT", 300), ("TransE-CG", 50)])
+    def test_planted_near_ties_rank_exactly(self, variant, d_e, monkeypatch):
+        """The batched distances misorder many of the planted one-ulp
+        neighbours against the gold; the window re-scores them.  Blocks of
+        16 links (16 + 16 + 8)."""
+        config, params, test, train = planted_typing(variant, d_e)
+        n_c = params.concepts.shape[0]
+        monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", 16 * n_c)
+        rep = entity_typing_eval(params, config, test, train)
+        assert rep.ranks == typing_oracle(params, config, test, train)
+
+
+_TYPING_THREADS_RUN = """
+import json, sys
+sys.path.insert(0, {tests!r})
+from test_evaluation import planted_typing
+from twoview.evaluation import entity_typing_eval
+config, params, test, train = planted_typing("TransE-CT", 300, n_links=60)
+print(json.dumps(entity_typing_eval(params, config, test, train).ranks))
+"""
+
+
+def test_typing_ranks_independent_of_blas_threads():
+    """Whatever the BLAS thread count does to the rounding of the (60 x 50)
+    . (50 x 2080) distance matmul, the window must hide it."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import twoview
+    src = str(Path(twoview.__file__).resolve().parents[1])
+    run = _TYPING_THREADS_RUN.format(tests=str(Path(__file__).resolve().parent))
+    ranks = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", run], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        ranks.append(json.loads(out.stdout))
+    config, params, test, train = planted_typing("TransE-CT", 300, n_links=60)
+    assert ranks[0] == ranks[1] == typing_oracle(params, config, test, train)
+
+
 class TestLongTailEval:
     def _setup(self):
         kb = random_kb(seed=7)

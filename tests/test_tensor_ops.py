@@ -195,6 +195,21 @@ class TestAffineTanh:
         for i in range(4):
             assert np.allclose(batch[i], affine_tanh(m, xs[i]), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d_in, d_out", [(300, 50), (50, 50)])
+    def test_block_rows_equal_single_calls_bitwise(self, rng, dtype, d_in, d_out):
+        """CT (300 -> 50) and HA (50 -> 50) shapes: each row of a block of
+        gathered rows, and a one-row block, equals the 1-D call bitwise."""
+        m = AffineMap(init_orthogonal(d_out, d_in, rng, dtype),
+                      (0.1 * rng.normal(size=d_out)).astype(dtype))
+        table = init_unit_sphere(40, d_in, rng, dtype)
+        rows = rng.integers(0, 40, size=25)
+        block = affine_tanh(m, table[rows])
+        single = np.stack([affine_tanh(m, table[i]) for i in rows])
+        assert block.dtype == single.dtype == dtype
+        assert block.tobytes() == single.tobytes()
+        assert affine_tanh(m, table[rows[:1]]).tobytes() == single[:1].tobytes()
+
     def test_dim_mismatch(self):
         m = AffineMap(np.zeros((3, 4)), np.zeros(3))
         with pytest.raises(TwoViewError):
