@@ -45,15 +45,6 @@ def vocab_hash(vocab: Vocab) -> str:
     return f"{fnv1a_64(payload):016x}"
 
 
-def _blocks_of(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    blocks = [(name, params.table(name)) for name in ModelParams.TABLES]
-    if params.ct_map is not None:
-        blocks += [("ct_W", params.ct_map.W), ("ct_b", params.ct_map.b)]
-    if params.ha_map is not None:
-        blocks += [("ha_W", params.ha_map.W), ("ha_b", params.ha_map.b)]
-    return blocks
-
-
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     vocab_hashes: dict[str, str], seed: int, epoch: int) -> None:
     """Write parameters and header to ``path``.
@@ -62,11 +53,10 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
     replaces ``path`` in one rename, so a write that fails part-way leaves
     any earlier checkpoint at ``path`` intact.
     """
-    blocks = _blocks_of(params)
     block_meta = []
     offset = 0
     payloads = []
-    for name, arr in blocks:
+    for name, arr in params.blocks():
         data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
         block_meta.append({
             "name": name,
@@ -135,6 +125,21 @@ def _decode(header_bytes: bytes, payload: bytes, path):
         raise CheckpointError(
             f"{path}: payload is {len(payload)} bytes, header declares "
             f"{header['payload_nbytes']}")
+    config = ModelConfig.from_variant(header["variant"], header["d_e"],
+                                      header["d_c"])
+    d_e, d_c, sizes = config.d_e, config.d_c, header["vocab_sizes"]
+    want = [(name, [sizes[name], d]) for name, d in
+            zip(ModelParams.TABLES, (d_e, d_e, d_c, d_c))]
+    if config.cross == CrossKind.TRANSFORMATION:
+        want += [("ct_W", [d_c, d_e]), ("ct_b", [d_c])]
+    if config.hierarchy_aware:
+        want += [("ha_W", [d_c, d_c]), ("ha_b", [d_c])]
+    want = [(name, shape, "<f4") for name, shape in want]
+    got = [(meta["name"], meta["shape"], meta["dtype"]) for meta in header["blocks"]]
+    if got != want:
+        raise CheckpointError(
+            f"{path}: header declares blocks {got}; {config.variant} with "
+            f"d_e={d_e}, d_c={d_c} and these vocabulary sizes needs {want}")
     arrays = {}
     for meta in header["blocks"]:
         start, n = meta["offset"], meta["nbytes"]
@@ -144,18 +149,13 @@ def _decode(header_bytes: bytes, payload: bytes, path):
             raise CheckpointError(
                 f"{path}: block {meta['name']!r} has {arr.size} values, "
                 f"shape {meta['shape']} needs {expected}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(
+                f"{path}: block {meta['name']!r} holds non-finite values")
         arrays[meta["name"]] = arr.reshape(meta["shape"]).copy()
-    config = ModelConfig.from_variant(header["variant"], header["d_e"],
-                                      header["d_c"])
-    ct_map = None
-    if config.cross == CrossKind.TRANSFORMATION:
-        ct_map = AffineMap(arrays["ct_W"], arrays["ct_b"])
-    ha_map = None
-    if config.hierarchy_aware:
-        ha_map = AffineMap(arrays["ha_W"], arrays["ha_b"])
-    params = ModelParams(**{name: arrays[name] for name in ModelParams.TABLES},
-                         ct_map=ct_map, ha_map=ha_map)
-    return params, config, header
+    maps = {f"{m}_map": AffineMap(arrays.pop(f"{m}_W"), arrays.pop(f"{m}_b"))
+            for m in ("ct", "ha") if f"{m}_W" in arrays}
+    return ModelParams(**arrays, **maps), config, header
 
 
 def check_vocab_hashes(header: dict, vocabs: dict[str, Vocab]) -> None:

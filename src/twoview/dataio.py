@@ -99,10 +99,10 @@ def load_split_dir(split_dir) -> SplitDataset:
     vocabs = {}
     for attr, fname in VOCAB_FILES.items():
         path = root / fname
-        if not path.exists():
-            raise TwoViewError(f"missing vocabulary file {path}")
-        names = [line.rstrip("\n")
-                 for line in path.read_text(encoding="utf-8").splitlines()]
+        try:
+            names = path.read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise TwoViewError(f"cannot read vocabulary file {path}: {exc}") from None
         vocabs[attr] = Vocab(n for n in names if n)
 
     def triples(name, head, rel, tail):

@@ -2,9 +2,14 @@
 gradient, the unit-norm audit, and the correlation fast-path comparison.
 
 The gradient checks run in 64-bit at small dimensions; the norm audit runs
-``train()`` itself, in float32.  Probe batches are resampled until they sit
-safely away from the hinge and norm kinks, where the losses are
-differentiable and central differences are meaningful.
+``train()`` itself, in float32.  A loss check compares the public loss's
+gradient, through ``GradAccum``, with central differences over every
+coordinate of the flat parameter vector.  The differences take the loss's
+value path, ``objectives.loss_value``: the gather and value kernel that give
+the public loss its value, without its gradient and scatter, on tables that
+view one shifted vector.  Probe batches are resampled until they sit safely
+away from the hinge and norm kinks, where the losses are differentiable and
+central differences are meaningful.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from .dataio import prepare_splits
 from .kb import SplitSpec, Triple
 from .model import ModelConfig, ModelParams
 from .objectives import (GradAccum, PairBatch, TripleBatch, cg_loss, ct_loss,
-                         ha_loss, intra_hinge_loss)
+                         ha_loss, intra_hinge_loss, loss_value)
 from .scoring import ScorerKind, score, score_grads
 from .synth import SUBCLASS, planted_kb
 from .tensor_ops import (AffineMap, affine_tanh, circ_correlation,
@@ -47,32 +52,20 @@ def _well_conditioned(gvec: np.ndarray) -> bool:
 # Flattening model parameters for the finite-difference checker
 
 def params_to_vector(params: ModelParams) -> np.ndarray:
-    parts = [params.table(n).ravel() for n in ModelParams.TABLES]
-    for m in (params.ct_map, params.ha_map):
-        if m is not None:
-            parts += [m.W.ravel(), m.b.ravel()]
-    return np.concatenate(parts).astype(np.float64)
+    """Every parameter in ``params.blocks()`` order, flat, in 64-bit."""
+    return np.concatenate([a.ravel() for _, a in params.blocks()]).astype(np.float64)
 
 
 def vector_to_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
-    pos = 0
-
-    def take(arr):
-        nonlocal pos
-        n = arr.size
-        block = vec[pos:pos + n].reshape(arr.shape)
-        pos += n
-        return block
-
-    maps = {}
-    tables = {name: take(template.table(name)) for name in ModelParams.TABLES}
-    for name, attr in (("ct", "ct_map"), ("ha", "ha_map")):
-        m = getattr(template, attr)
-        maps[attr] = AffineMap(take(m.W), take(m.b)) if m is not None else None
-    return ModelParams(entities=tables["entities"], relations=tables["relations"],
-                       concepts=tables["concepts"],
-                       meta_relations=tables["meta_relations"],
-                       ct_map=maps["ct_map"], ha_map=maps["ha_map"])
+    """``template``'s parameters as views of the blocks of ``vec``."""
+    views, pos = [], 0
+    for _, a in template.blocks():
+        views.append(vec[pos:pos + a.size].reshape(a.shape))
+        pos += a.size
+    maps = iter(views[len(ModelParams.TABLES):])
+    return ModelParams(*views[:len(ModelParams.TABLES)], **{
+        attr: AffineMap(next(maps), next(maps)) for attr in ("ct_map", "ha_map")
+        if getattr(template, attr) is not None})
 
 
 def grads_to_vector(grads: GradAccum, template: ModelParams) -> np.ndarray:
@@ -83,15 +76,10 @@ def grads_to_vector(grads: GradAccum, template: ModelParams) -> np.ndarray:
             ids, g = grads.blocks[name]
             dense[ids] = g
         parts.append(dense.ravel())
-    for map_name, attr in (("ct", "ct_map"), ("ha", "ha_map")):
-        m = getattr(template, attr)
+    for name, m in (("ct", template.ct_map), ("ha", template.ha_map)):
         if m is not None:
-            if map_name in grads.maps:
-                dW, db = grads.maps[map_name]
-            else:
-                dW, db = np.zeros_like(m.W), np.zeros_like(m.b)
-            parts += [np.asarray(dW, np.float64).ravel(),
-                      np.asarray(db, np.float64).ravel()]
+            dW, db = grads.maps.get(name, (np.zeros_like(m.W), np.zeros_like(m.b)))
+            parts += [np.ravel(dW), np.ravel(db)]
     return np.concatenate(parts)
 
 
@@ -168,28 +156,41 @@ def _intra_probe(kind: ScorerKind, params: ModelParams, rng, batch_size=3):
             return TripleBatch(pos, neg)
 
 
-def check_intra_gradients(kind: ScorerKind, n_probes: int = 50, seed: int = 0,
-                          corrupt: bool = False) -> float:
+def _gradient_check(probe, n_probes: int, seed: int, corrupt: bool) -> float:
+    """Max finite-difference error of a public loss over ``n_probes``
+    probes; ``probe(rng)`` gives (params, loss, args), with ``args(p)`` the
+    loss's arguments at parameters p."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
         for _attempt in range(50):
-            params = _random_params(rng)
-            batch = _intra_probe(kind, params, rng)
-            _, grads = intra_hinge_loss(kind, batch, 0.5, params, "instance")
-            gvec = grads_to_vector(grads, params)
+            params, loss, args = probe(rng)
+            gvec = grads_to_vector(loss(*args(params))[1], params)
             if _well_conditioned(gvec):
                 break
         if corrupt:
             gvec = gvec * 2.0
+        point = params_to_vector(params)
+        shifted = point.copy()      # the arguments at ``shifted`` view its blocks
+        at_shifted = args(vector_to_params(shifted, params))
 
-        def loss(vec, params=params, batch=batch, kind=kind):
-            return intra_hinge_loss(kind, batch, 0.5,
-                                    vector_to_params(vec, params), "instance")[0]
+        def value(vec, shifted=shifted, loss=loss, at_shifted=at_shifted):
+            shifted[:] = vec
+            return loss_value(loss, *at_shifted)
 
-        worst = max(worst, finite_diff_check(loss, gvec, params_to_vector(params),
-                                             eps=_LOSS_EPS))
+        worst = max(worst, finite_diff_check(value, gvec, point, eps=_LOSS_EPS))
     return worst
+
+
+def check_intra_gradients(kind: ScorerKind, n_probes: int = 50, seed: int = 0,
+                          corrupt: bool = False) -> float:
+    """Finite-difference gate for the intra-view hinge loss."""
+    def probe(rng):
+        params = _random_params(rng)
+        batch = _intra_probe(kind, params, rng)
+        return params, intra_hinge_loss, lambda p: (kind, batch, 0.5, p, "instance")
+
+    return _gradient_check(probe, n_probes, seed, corrupt)
 
 
 def _pair_probe(params: ModelParams, rng, mode: str, margin=0.5, batch_size=3):
@@ -223,40 +224,16 @@ def check_cross_gradients(mode: str, n_probes: int = 50, seed: int = 0,
     """Finite-difference gate for the CG (both modes), CT and HA losses."""
     if mode not in ("cg-plain", "cg-sampled", "ct", "ha"):
         raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_probes):
-        for _attempt in range(50):
-            params = _random_params(rng, with_ct=(mode == "ct"),
-                                    with_ha=(mode == "ha"))
-            batch = _pair_probe(params, rng, mode)
 
-            if mode == "cg-plain":
-                def compute(p, batch=batch):
-                    return cg_loss(PairBatch(batch.pos), 0.5, False, p)
-            elif mode == "cg-sampled":
-                def compute(p, batch=batch):
-                    return cg_loss(batch, 0.5, True, p)
-            elif mode == "ct":
-                def compute(p, batch=batch):
-                    return ct_loss(batch, 0.5, p)
-            else:
-                def compute(p, batch=batch):
-                    return ha_loss(batch, 0.5, p)
+    def probe(rng):
+        params = _random_params(rng, with_ct=(mode == "ct"), with_ha=(mode == "ha"))
+        batch = _pair_probe(params, rng, mode)
+        if mode in ("ct", "ha"):
+            return params, ct_loss if mode == "ct" else ha_loss, \
+                lambda p: (batch, 0.5, p)
+        return params, cg_loss, lambda p: (batch, 0.5, mode == "cg-sampled", p)
 
-            _, grads = compute(params)
-            gvec = grads_to_vector(grads, params)
-            if _well_conditioned(gvec):
-                break
-        if corrupt:
-            gvec = gvec * 2.0
-
-        def loss(vec, params=params):
-            return compute(vector_to_params(vec, params))[0]
-
-        worst = max(worst, finite_diff_check(loss, gvec, params_to_vector(params),
-                                             eps=_LOSS_EPS))
-    return worst
+    return _gradient_check(probe, n_probes, seed, corrupt)
 
 
 # --------------------------------------------------------------------------

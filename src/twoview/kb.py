@@ -205,18 +205,22 @@ class SplitSpec:
 
 
 def _iter_fields(path, n_fields: int):
-    """Yield (line_no, fields) for every non-blank line of a TSV file."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise ParseError(
-                    path, line_no,
-                    f"expected {n_fields} TAB-separated fields, got {len(fields)}")
-            yield line_no, fields
+    """Yield (line_no, fields) for every non-blank line of a TSV file.  A
+    file that is missing, unreadable or not UTF-8 raises ``TwoViewError``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != n_fields:
+                    raise ParseError(
+                        path, line_no,
+                        f"expected {n_fields} TAB-separated fields, got {len(fields)}")
+                yield line_no, fields
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TwoViewError(f"cannot read {path}: {exc}") from None
 
 
 def parse_triples(path, head_vocab: Vocab, rel_vocab: Vocab,

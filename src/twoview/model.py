@@ -123,6 +123,15 @@ class ModelParams:
     def dtype(self):
         return self.entities.dtype
 
+    def blocks(self) -> list[tuple[str, np.ndarray]]:
+        """(name, array) for every trainable array: the tables, then the W
+        and b of each map present, CT before HA."""
+        out = [(name, self.table(name)) for name in self.TABLES]
+        for name, m in (("ct", self.ct_map), ("ha", self.ha_map)):
+            if m is not None:
+                out += [(f"{name}_W", m.W), (f"{name}_b", m.b)]
+        return out
+
     def copy(self) -> "ModelParams":
         return ModelParams(
             entities=self.entities.copy(),

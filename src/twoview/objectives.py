@@ -1,18 +1,15 @@
-"""Negative samplers and every training loss, each returning value plus
-sparse analytic gradients.
-
-All losses are averaged hinge losses, nonnegative by construction, and
-produce gradients only for the embeddings that actually appear in the batch
-(plus the affine-map parameters for the transformation losses).  Gradients
-flow only through pairs whose margin bracket is strictly positive.  Each
-loss gathers its batch's rows once and scores and differentiates them as
-(b, d) blocks; its gradient holds one block per table, the distinct row ids
-with their summed rows.
+"""Negative samplers and every training loss: averaged hinge losses with
+sparse gradients through the pairs whose bracket is positive.  Each loss is
+a gather (ids to (b, d) row blocks), a value kernel (rows to per-pair
+brackets), a gradient kernel (the active pairs' rows to gradient blocks)
+and one scatter into a GradAccum.  CG, CT and HA share one distance hinge.
+Gather and value kernel alone are the value path, ``loss_value``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -78,12 +75,9 @@ class TripleBatch:
 
 @dataclass
 class PairBatch:
-    """(anchor, positive second) pairs with one negative second element each.
-
-    Used for cross-view links (entity, concept) and hierarchy pairs
-    (finer, coarser); ``neg_second`` may be omitted for the loss modes that
-    need no negatives.
-    """
+    """(anchor, positive second) pairs with one negative second element each:
+    cross-view links (entity, concept) or hierarchy pairs (finer, coarser).
+    ``neg_second`` may be omitted for the CG mode that needs no negatives."""
 
     pos: list[tuple[int, int]]
     neg_second: list[int] | None = None
@@ -114,6 +108,8 @@ def _merge(ids: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _id_rows(items, width: int) -> np.ndarray:
+    if len(items) == 0:
+        raise TwoViewError("loss batch is empty")
     return np.fromiter(chain.from_iterable(items), np.intp,
                        width * len(items)).reshape(-1, width)
 
@@ -140,9 +136,6 @@ class GradAccum:
             old_ids, old = self.blocks[table]
             ids, g = np.concatenate((old_ids, ids)), np.concatenate((old, g))
         self.blocks[table] = _merge(ids, g)
-
-    def add_row(self, table: str, row: int, g: np.ndarray) -> None:
-        self.add_rows(table, [row], np.array(g)[None])
 
     def add_map(self, name: str, dW: np.ndarray, db: np.ndarray) -> None:
         cur = self.maps.get(name)
@@ -215,17 +208,29 @@ def sample_negative_concept(anchor: int, positive: int, pair_store,
 # --------------------------------------------------------------------------
 # Losses
 
-def intra_hinge_loss(kind: ScorerKind, batch: TripleBatch, margin: float,
-                     params: ModelParams, view: str) -> tuple[float, GradAccum]:
-    """Margin ranking loss over (positive, corrupted) triple pairs of one view.
+def _hinge_mean(bracket: np.ndarray) -> tuple[float, np.ndarray]:
+    """The mean over all pairs of the positive brackets, and their mask."""
+    active = bracket > 0.0
+    return float(bracket[active].sum()) * (1.0 / len(bracket)), active
 
-    loss = mean_+ [margin + f(neg) - f(pos)]_+ with gradients through every
-    pair whose bracket is positive.  The positives and the negatives are
-    each scored, and then differentiated, as one block of rows; each
-    table's gradient rows are merged once.
-    """
-    if len(batch) == 0:
-        raise TwoViewError("intra-view batch is empty")
+
+def _hinge(bracket: np.ndarray, gradient) -> tuple[float, GradAccum]:
+    """The loss and its gradient: ``gradient(active)`` gives [(table, ids,
+    rows)], scattered in order, and {map: (dW, db)}, scaled like the mean."""
+    value, active = _hinge_mean(bracket)
+    grads = GradAccum()
+    if active.any():
+        rows, maps = gradient(active)
+        for table, ids, g in rows:
+            grads.add_rows(table, ids, g)
+        for name, (dW, db) in maps.items():
+            grads.add_map(name, dW, db)
+    return value, grads.scale(1.0 / len(bracket))
+
+
+def _intra(kind: ScorerKind, batch: TripleBatch, margin: float,
+           params: ModelParams, view: str):
+    """Brackets margin + f(neg) - f(pos) and the gradient kernel."""
     node_table, edge_table = VIEW_TABLES[view]
     nodes, edges = params.table(node_table), params.table(edge_table)
 
@@ -235,9 +240,8 @@ def intra_hinge_loss(kind: ScorerKind, batch: TripleBatch, margin: float,
     pos, neg = (_id_rows(side, 3) for side in (batch.pos, batch.neg))
     bracket = (margin + score(kind, *rows(neg)).astype(np.float64)
                - score(kind, *rows(pos)))
-    active = bracket > 0.0
-    grads = GradAccum()
-    if active.any():
+
+    def gradient(active):   # gathers the active rows again, to keep peak memory down
         trips = np.stack((pos[active], neg[active]))        # (side, pair, slot)
         n, d = trips.shape[1], nodes.shape[1]
         node_g = np.empty((2, 2, n, d), nodes.dtype)        # (side, head/tail, pair)
@@ -247,104 +251,98 @@ def intra_hinge_loss(kind: ScorerKind, batch: TripleBatch, margin: float,
                 score_grads(kind, *rows(trip))
         node_g[0] *= -1
         edge_g[0] *= -1
-        grads.add_rows(node_table, trips[:, :, ::2].transpose(0, 2, 1).ravel(),
-                       node_g.reshape(-1, d))
-        grads.add_rows(edge_table, trips[:, :, 1].ravel(), edge_g.reshape(-1, d))
-    inv = 1.0 / len(batch)
-    grads.scale(inv)
-    return float(bracket[active].sum()) * inv, grads
+        return [(node_table, trips[:, :, ::2].transpose(0, 2, 1).ravel(),
+                 node_g.reshape(-1, d)),
+                (edge_table, trips[:, :, 1].ravel(), edge_g.reshape(-1, d))], {}
+
+    return bracket, gradient
+
+
+def _distance_hinge(point: np.ndarray, targets, margin: float):
+    """Value kernel of CG, CT and HA from ``point`` rows and target rows
+    (pos,) or (pos, neg): brackets ||pos - point|| - margin or margin +
+    ||pos - point|| - ||neg - point||, and the unit difference rows."""
+    units, dists = zip(*(unit_rows(t - point) for t in targets))
+    d_pos = dists[0].astype(np.float64)
+    return (d_pos - margin if len(dists) == 1 else margin + d_pos - dists[1]), units
+
+
+def _pairs(batch: PairBatch, margin: float, params: ModelParams,
+           negatives: bool = True, map_name: str | None = None):
+    """Brackets and gradient kernel of the distance hinge from each anchor's
+    point, the entity under CG and tanh(W a + b) under CT and HA (concept
+    anchors), to its concepts.  Products with W and dW are ``np.einsum``
+    calls: a BLAS matmul's sums follow its thread count."""
+    a, c = _id_rows(batch.pos, 2).T
+    if negatives and batch.neg_second is None:
+        raise TwoViewError("this loss mode requires negative concepts")
+    targets = (c, np.asarray(batch.neg_second, dtype=np.intp)) if negatives else (c,)
+    anchor_table = "concepts" if map_name == "ha" else "entities"
+    anchors, concepts = params.table(anchor_table), params.concepts
+    m = None if map_name is None else params.map(map_name)
+    fits = (m.d_in, m.d_out) if m else (concepts.shape[1],) * 2
+    if (anchors.shape[1], concepts.shape[1]) != fits:
+        raise ConfigError(f"{map_name or 'CG'} needs widths {fits}, not {anchor_table}"
+                          f"({anchors.shape[1]}) -> concepts({concepts.shape[1]})")
+    point = anchors[a] if m is None else affine_tanh(m, anchors[a])
+    bracket, units = _distance_hinge(point, (concepts[t] for t in targets), margin)
+
+    def gradient(active):   # gathers the active anchor rows again, as in _intra
+        u = [x[active] for x in units]                      # positives, then negatives
+        g_point = -u[0] if len(u) == 1 else u[1] - u[0]
+        rows = [("concepts", np.concatenate([t[active] for t in targets]),
+                 u[0] if len(u) == 1 else np.concatenate((u[0], -u[1])))]
+        if m is None:
+            return rows + [(anchor_table, a[active], g_point)], {}
+        p = point[active]
+        dz = g_point * (1.0 - p * p)                        # tanh'
+        return rows + [(anchor_table, a[active], np.einsum("bo,oi->bi", dz, m.W))], \
+            {map_name: (np.einsum("bi,bj->ij", dz, anchors[a[active]]), dz.sum(axis=0))}
+
+    return bracket, gradient
+
+
+def _cg(batch, margin, use_negatives, params):
+    return _pairs(batch, margin, params, use_negatives)
+
+
+_ct, _ha = partial(_pairs, map_name="ct"), partial(_pairs, map_name="ha")
+
+
+def intra_hinge_loss(kind: ScorerKind, batch: TripleBatch, margin: float,
+                     params: ModelParams, view: str) -> tuple[float, GradAccum]:
+    """Margin ranking loss of one view: mean [margin + f(neg) - f(pos)]_+."""
+    return _hinge(*_intra(kind, batch, margin, params, view))
 
 
 def cg_loss(batch: PairBatch, margin: float, use_negatives: bool,
             params: ModelParams) -> tuple[float, GradAccum]:
-    """Cross-view grouping loss.
-
-    Without negatives: mean [||c - e|| - margin]_+ , pulling each entity
-    inside the margin radius of its concept.  With negatives the
-    margin-ranking form mean [margin + ||c - e|| - ||c' - e||]_+ is used,
-    mirroring the transformation loss.
-    """
-    if len(batch) == 0:
-        raise TwoViewError("cross-view batch is empty")
-    if params.entities.shape[1] != params.concepts.shape[1]:
-        raise ConfigError("CG requires equal entity and concept dimensions")
-    if use_negatives and batch.neg_second is None:
-        raise TwoViewError("negative concepts required for the sampled CG mode")
-    e, c = _id_rows(batch.pos, 2).T
-    ents = params.entities[e]
-    u_pos, d_pos = unit_rows(params.concepts[c] - ents)
-    if use_negatives:
-        cn = np.asarray(batch.neg_second, dtype=np.intp)
-        u_neg, d_neg = unit_rows(params.concepts[cn] - ents)
-        bracket = margin + d_pos.astype(np.float64) - d_neg
-    else:
-        bracket = d_pos.astype(np.float64) - margin
-    active = bracket > 0.0
-    grads = GradAccum()
-    if use_negatives:
-        grads.add_rows("concepts", np.concatenate((c[active], cn[active])),
-                       np.concatenate((u_pos[active], -u_neg[active])))
-        grads.add_rows("entities", e[active], u_neg[active] - u_pos[active])
-    else:
-        grads.add_rows("concepts", c[active], u_pos[active])
-        grads.add_rows("entities", e[active], -u_pos[active])
-    inv = 1.0 / len(batch)
-    grads.scale(inv)
-    return float(bracket[active].sum()) * inv, grads
-
-
-def _transform_hinge(batch: PairBatch, margin: float, params: ModelParams,
-                     map_name: str, anchor_table: str,
-                     target_table: str) -> tuple[float, GradAccum]:
-    """Shared core of the CT and HA losses.
-
-    loss = mean [margin + ||target - tanh(W a + b)|| - ||neg - tanh(W a + b)||]_+
-    with gradients for the anchor, both targets and the map itself.  The
-    products with W and the map gradient dW, a sum over pairs, are
-    ``np.einsum`` calls: a BLAS matmul's sums follow its thread count, and
-    its packing buffers add to a run's peak memory.
-    """
-    if len(batch) == 0:
-        raise TwoViewError("transformation batch is empty")
-    if batch.neg_second is None:
-        raise TwoViewError("transformation losses require negative targets")
-    m = params.map(map_name)
-    anchors, targets = params.table(anchor_table), params.table(target_table)
-    if m.d_in != anchors.shape[1] or m.d_out != targets.shape[1]:
-        raise ConfigError(
-            f"map {map_name!r} of shape {m.W.shape} does not fit tables "
-            f"{anchor_table}({anchors.shape[1]}) -> {target_table}({targets.shape[1]})")
-    a, pos_t = _id_rows(batch.pos, 2).T
-    neg_t = np.asarray(batch.neg_second, dtype=np.intp)
-    av = anchors[a]
-    proj = affine_tanh(m, av)
-    u_pos, d_pos = unit_rows(targets[pos_t] - proj)
-    u_neg, d_neg = unit_rows(targets[neg_t] - proj)
-    bracket = margin + d_pos.astype(np.float64) - d_neg
-    active = bracket > 0.0
-    grads = GradAccum()
-    if active.any():
-        u_pos, u_neg, proj, av = u_pos[active], u_neg[active], proj[active], av[active]
-        grads.add_rows(target_table, np.concatenate((pos_t[active], neg_t[active])),
-                       np.concatenate((u_pos, -u_neg)))
-        dz = (u_neg - u_pos) * (1.0 - proj * proj)  # tanh'
-        grads.add_map(map_name, np.einsum("bi,bj->ij", dz, av), dz.sum(axis=0))
-        grads.add_rows(anchor_table, a[active], np.einsum("bo,oi->bi", dz, m.W))
-    inv = 1.0 / len(batch)
-    grads.scale(inv)
-    return float(bracket[active].sum()) * inv, grads
+    """Cross-view grouping loss: mean [||c - e|| - margin]_+, pulling each
+    entity inside its concept's margin radius, or with negatives the
+    margin-ranking form mean [margin + ||c - e|| - ||c' - e||]_+ of CT."""
+    return _hinge(*_cg(batch, margin, use_negatives, params))
 
 
 def ct_loss(batch: PairBatch, margin: float,
             params: ModelParams) -> tuple[float, GradAccum]:
-    """Cross-view transformation loss over (entity, concept) links."""
-    return _transform_hinge(batch, margin, params, "ct", "entities", "concepts")
+    """Cross-view transformation loss over (entity, concept) links:
+    mean [margin + ||c - tanh(W e + b)|| - ||c' - tanh(W e + b)||]_+."""
+    return _hinge(*_ct(batch, margin, params))
 
 
 def ha_loss(batch: PairBatch, margin: float,
             params: ModelParams) -> tuple[float, GradAccum]:
-    """Hierarchy loss over (finer, coarser) concept pairs."""
-    return _transform_hinge(batch, margin, params, "ha", "concepts", "concepts")
+    """Hierarchy loss over (finer, coarser) concept pairs: CT with the HA map."""
+    return _hinge(*_ha(batch, margin, params))
+
+
+_VALUE_PATHS = {intra_hinge_loss: _intra, cg_loss: _cg, ct_loss: _ct, ha_loss: _ha}
+
+
+def loss_value(loss, *args) -> float:
+    """``loss(*args)[0]`` through the loss's value path alone: its gather
+    and value kernel, with no gradient and no scatter."""
+    return _hinge_mean(_VALUE_PATHS[loss](*args)[0])[0]
 
 
 def combine_intra(j_instance: float, j_ontology: float, j_hierarchy: float | None,

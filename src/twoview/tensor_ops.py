@@ -123,7 +123,7 @@ def affine_tanh(m: AffineMap, x: np.ndarray) -> np.ndarray:
     exactly +-1 for large inputs, so saturated values are pulled in by one
     ulp to keep the open-interval contract (and artanh finite).  Both forms
     go through one ``np.einsum`` (a vector is the b = 1 case), as
-    ``objectives._transform_hinge`` explains, so a batch row equals the 1-D
+    ``objectives._pairs`` explains, so a batch row equals the 1-D
     call on it bitwise.
     """
     x = np.asarray(x)

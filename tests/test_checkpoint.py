@@ -115,7 +115,19 @@ def _framed(header: bytes) -> bytes:
     return MAGIC + struct.pack("<Q", len(header)) + header
 
 
-# each case turns the bytes of a valid checkpoint into a malformed file
+def _with_block(name, **changes):
+    """A case that changes block ``name``'s header entry, payload kept."""
+    def case(good):
+        (header_len,) = struct.unpack("<Q", good[8:16])
+        header = json.loads(good[16:16 + header_len])
+        next(b for b in header["blocks"] if b["name"] == name).update(changes)
+        text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        return _framed(text.encode()) + good[16 + header_len:]
+    return case
+
+
+# each case turns the bytes of a valid checkpoint (HATransE-CT, d_e=6,
+# d_c=4) into a malformed file
 MALFORMED = {
     "bad-magic": lambda good: b"NOTMAGIC" + b"\x00" * 32,
     "truncated-payload": lambda good: good[:-8],
@@ -123,6 +135,10 @@ MALFORMED = {
     "empty-object-header": lambda good: _framed(b"{}"),
     "list-header": lambda good: _framed(b"[]"),
     "header-length-past-eof": lambda good: MAGIC + struct.pack("<Q", 64) + b"{}",
+    "entities-declared-10x3": _with_block("entities", shape=[10, 3]),
+    "ct_W-declared-transposed": _with_block("ct_W", shape=[6, 4]),
+    "ct_b-declared-int32": _with_block("ct_b", dtype="<i4"),
+    "nan-in-payload": lambda good: good[:-4] + struct.pack("<f", float("nan")),
 }
 
 

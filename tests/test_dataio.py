@@ -38,6 +38,23 @@ def test_load_missing_dir_rejected(tmp_path):
         load_split_dir(tmp_path / "missing")
 
 
+@pytest.mark.parametrize("fname, damage", [
+    ("links_test.tsv", "delete"), ("instance_train.tsv", "0xff"),
+    ("entities.txt", "0xff"), ("concepts.txt", "delete")])
+def test_unreadable_split_file_named(tmp_path, fname, damage):
+    kb, _ = planted_kb()
+    write_split_dir(prepare_splits(kb, SplitSpec(seed=7)), tmp_path, kb)
+    path = tmp_path / fname
+    if damage == "delete":
+        path.unlink()
+    else:
+        raw = path.read_bytes()
+        path.write_bytes(raw[:40] + b"\xff" + raw[40:])
+    with pytest.raises(TwoViewError) as exc:
+        load_split_dir(tmp_path)
+    assert str(path) in str(exc.value)
+
+
 def test_eval_settings_validation():
     with pytest.raises(ConfigError):
         EvalSettings(filter_mode="loose")

@@ -7,7 +7,7 @@ import pytest
 from twoview import objectives, training
 from twoview.dataio import prepare_splits
 from twoview.diagnostics import (check_cross_gradients, check_intra_gradients,
-                                 _random_params)
+                                 _intra_probe, _pair_probe, _random_params)
 from twoview.errors import ConfigError, TwoViewError
 from twoview.kb import (CrossLinkStore, HierarchyStore, SplitSpec, Triple,
                         TripleStore, extract_hierarchy)
@@ -15,8 +15,8 @@ from twoview.model import ModelConfig, ModelParams
 from twoview.objectives import (GradAccum, LossWeights, Margins, PairBatch,
                                 TripleBatch, cg_loss, combine_intra,
                                 combine_total, ct_loss, ha_loss,
-                                intra_hinge_loss, sample_negative_concept,
-                                sample_negative_triple)
+                                intra_hinge_loss, loss_value,
+                                sample_negative_concept, sample_negative_triple)
 from twoview.scoring import ScorerKind
 from twoview.synth import SUBCLASS, planted_kb
 from twoview.tensor_ops import affine_tanh
@@ -260,8 +260,8 @@ class TestMarginsAndWeights:
 class TestGradAccum:
     def test_accumulates_rows_and_maps(self):
         g = GradAccum()
-        g.add_row("entities", 0, np.ones(3))
-        g.add_row("entities", 0, np.ones(3))
+        g.add_rows("entities", [0], np.ones((1, 3)))
+        g.add_rows("entities", [0], np.ones((1, 3)))
         assert np.array_equal(g.rows[("entities", 0)], 2 * np.ones(3))
         g.add_map("ct", np.ones((2, 2)), np.ones(2))
         g.add_map("ct", np.ones((2, 2)), np.ones(2))
@@ -269,10 +269,10 @@ class TestGradAccum:
 
     def test_scale_and_merge(self):
         g = GradAccum()
-        g.add_row("concepts", 1, np.ones(2))
+        g.add_rows("concepts", [1], np.ones((1, 2)))
         g.scale(0.5)
         # a later gradient for the same row adds onto the scaled one
-        g.add_row("concepts", 1, np.ones(2))
+        g.add_rows("concepts", [1], np.ones((1, 2)))
         assert np.array_equal(g.rows[("concepts", 1)], 1.5 * np.ones(2))
 
 
@@ -432,6 +432,50 @@ class TestBatchIdTypes:
                      lambda: ha_loss(PairBatch([], []), 0.5, params)):
             with pytest.raises(TwoViewError, match="batch is empty"):
                 call()
+
+
+def _loss_cases(params, triples, pairs, margin):
+    """(loss, args) for the intra loss under every scorer and view, both CG
+    modes, CT and HA; ``triples`` and ``pairs`` map a family to its batch."""
+    for kind in ScorerKind:
+        for view in ("instance", "ontology"):
+            yield intra_hinge_loss, (kind, triples(kind), margin, params, view)
+    yield cg_loss, (pairs("cg-plain"), margin, False, params)
+    yield cg_loss, (pairs("cg-sampled"), margin, True, params)
+    yield ct_loss, (pairs("ct"), margin, params)
+    yield ha_loss, (pairs("ha"), margin, params)
+
+
+class TestValuePath:
+    """The gradient checks difference ``loss_value``, so it must give the
+    public loss's value bitwise."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_public_loss_on_probe_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        params = _random_params(rng, with_ct=True, with_ha=True)
+        for loss, args in _loss_cases(
+                params, lambda kind: _intra_probe(kind, params, rng),
+                lambda mode: _pair_probe(params, rng, mode), 0.5):
+            assert loss_value(loss, *args) == loss(*args)[0]
+
+    def test_equals_public_loss_on_float32_training_batch(self):
+        rng = np.random.default_rng(4)
+        config = ModelConfig.from_variant("HAHolE-CT", 32, 32)
+        params = ModelParams.init(config, 300, 20, 60, 8, rng)
+        n = 512
+        nodes, edges = rng.integers(60, size=(2, n, 2)), rng.integers(8, size=n)
+        triples = TripleBatch([Triple(h, r, t) for (h, t), r in
+                               zip(nodes[0].tolist(), edges.tolist())],
+                              [Triple(h, r, t) for (h, t), r in
+                               zip(nodes[1].tolist(), edges.tolist())])
+        pairs = PairBatch([tuple(p) for p in rng.integers(60, size=(n, 2)).tolist()],
+                          rng.integers(60, size=n).tolist())
+        assert params.entities.dtype == np.float32
+        for loss, args in _loss_cases(params, lambda kind: triples,
+                                      lambda mode: pairs, 1.0):
+            value = loss(*args)[0]
+            assert value > 0 and loss_value(loss, *args) == value
 
 
 def _epoch_state(data, model, config, dtype=np.float64):

@@ -29,7 +29,7 @@ class TestAmsgradStep:
         state = OptimizerState.init(params)
         before = params.entities.copy()
         grads = GradAccum()
-        grads.add_row("entities", 2, np.zeros(6, dtype=np.float32))
+        grads.add_rows("entities", [2], np.zeros((1, 6), dtype=np.float32))
         amsgrad_step(params, state, grads, 0.01)
         # update is exactly zero, and projection restores the unit row
         assert np.allclose(params.entities, before, atol=1e-7)
@@ -43,7 +43,7 @@ class TestAmsgradStep:
         g = np.zeros(6)
         g[0] = 1.0
         grads = GradAccum()
-        grads.add_row("relations", 0, g)
+        grads.add_rows("relations", [0], g[None])
         amsgrad_step(params, state, grads, 0.01)
         m = (1 - BETA1) * 1.0
         v = (1 - BETA2) * 1.0
@@ -60,12 +60,12 @@ class TestAmsgradStep:
         for _ in range(20):
             g[0] = 1.0
             grads = GradAccum()
-            grads.add_row("relations", 0, g.copy())
+            grads.add_rows("relations", [0], g.copy()[None])
             amsgrad_step(params, state, grads, 0.001)
         vhat_before = state.tables["relations"].vhat[0, 0].copy()
         g[0] = 0.1
         grads = GradAccum()
-        grads.add_row("relations", 0, g.copy())
+        grads.add_rows("relations", [0], g.copy()[None])
         amsgrad_step(params, state, grads, 0.001)
         assert state.tables["relations"].vhat[0, 0] == vhat_before
         assert state.tables["relations"].v[0, 0] < vhat_before
@@ -76,7 +76,7 @@ class TestAmsgradStep:
         before_entities = params.entities.copy()
         before_relations = params.relations.copy()
         grads = GradAccum()
-        grads.add_row("entities", 3, np.ones(6, dtype=np.float32))
+        grads.add_rows("entities", [3], np.ones((1, 6), dtype=np.float32))
         amsgrad_step(params, state, grads, 0.05)
         for i in range(8):
             if i != 3:
@@ -96,10 +96,10 @@ class TestAmsgradStep:
         rng = np.random.default_rng(5)
         for _ in range(200):
             grads = GradAccum()
-            grads.add_row("entities", int(rng.integers(8)),
-                          rng.normal(size=6).astype(np.float32))
-            grads.add_row("concepts", int(rng.integers(5)),
-                          rng.normal(size=4).astype(np.float32))
+            grads.add_rows("entities", [int(rng.integers(8))],
+                           rng.normal(size=(1, 6)).astype(np.float32))
+            grads.add_rows("concepts", [int(rng.integers(5))],
+                           rng.normal(size=(1, 4)).astype(np.float32))
             amsgrad_step(params, state, grads, 0.01)
         for table in (params.entities, params.concepts):
             norms = np.linalg.norm(table.astype(np.float64), axis=1)
@@ -109,7 +109,7 @@ class TestAmsgradStep:
         params = small_params()
         state = OptimizerState.init(params)
         grads = GradAccum()
-        grads.add_row("entities", 0, np.full(6, np.nan, dtype=np.float32))
+        grads.add_rows("entities", [0], np.full((1, 6), np.nan, dtype=np.float32))
         with pytest.raises(TwoViewError) as exc:
             amsgrad_step(params, state, grads, 0.01)
         assert "entities" in str(exc.value)
@@ -120,9 +120,9 @@ class TestAmsgradStep:
         state = OptimizerState.init(params)
         before = params.copy()
         grads = GradAccum()
-        grads.add_row("entities", 1, np.ones(6, dtype=np.float32))
+        grads.add_rows("entities", [1], np.ones((1, 6), dtype=np.float32))
         for row, value in ((0, 1.0), (2, np.inf), (1, np.nan)):
-            grads.add_row("relations", row, np.full(6, value, dtype=np.float32))
+            grads.add_rows("relations", [row], np.full((1, 6), value, dtype=np.float32))
         with pytest.raises(TwoViewError, match="relations row 2$"):
             amsgrad_step(params, state, grads, 0.01)
         assert np.array_equal(params.entities, before.entities)
