@@ -13,9 +13,9 @@ import json
 from pathlib import Path
 
 from .errors import TwoViewError
-from .kb import (KnowledgeBase, SplitSpec, TripleStore, Vocab, dataset_stats,
+from .kb import (HierarchyStore, KnowledgeBase, SplitSpec, Vocab, dataset_stats,
                  extract_hierarchy, parse_links, parse_triples, split_links,
-                 split_triples)
+                 split_triples, write_tsv)
 from .training import SplitDataset
 
 VOCAB_FILES = {
@@ -46,49 +46,47 @@ def prepare_splits(kb: KnowledgeBase, spec: SplitSpec) -> SplitDataset:
     )
 
 
-def _write_lines(path: Path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-
-
-def _triple_lines(store: TripleStore, head_vocab: Vocab, rel_vocab: Vocab,
-                  tail_vocab: Vocab):
-    for h, r, t in store:
-        yield f"{head_vocab.name(h)}\t{rel_vocab.name(r)}\t{tail_vocab.name(t)}"
-
-
 def write_split_dir(data: SplitDataset, out_dir, kb: KnowledgeBase,
                     hierarchical_relations: list[str] | None = None) -> None:
     """Write a prepared split directory (byte-identical across reruns)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for attr, fname in VOCAB_FILES.items():
-        _write_lines(out / fname, getattr(data, attr).names)
-    for view, vocabs in (("instance", (data.entities, data.relations, data.entities)),
-                         ("ontology", (data.concepts, data.meta_relations,
-                                       data.concepts))):
+        (out / fname).write_text("".join(f"{n}\n" for n in getattr(data, attr).names),
+                                 encoding="utf-8")
+    e, r, c, m = data.entities, data.relations, data.concepts, data.meta_relations
+    for view, vocabs in (("instance", (e, r, e)), ("ontology", (c, m, c)),
+                         ("links", (e, c))):
         for part in ("train", "valid", "test"):
-            store = getattr(data, f"{view}_{part}")
-            _write_lines(out / f"{view}_{part}.tsv",
-                         _triple_lines(store, *vocabs))
-    for part in ("train", "test"):
-        store = getattr(data, f"links_{part}")
-        _write_lines(out / f"links_{part}.tsv",
-                     (f"{data.entities.name(e)}\t{data.concepts.name(c)}"
-                      for e, c in store))
-    pairs = []
+            if hasattr(data, f"{view}_{part}"):
+                write_tsv(out / f"{view}_{part}.tsv", getattr(data, f"{view}_{part}"),
+                          vocabs)
+    hierarchy = HierarchyStore()
     if hierarchical_relations:
-        hier, _ = extract_hierarchy(data.ontology_train, hierarchical_relations,
-                                    data.meta_relations)
-        pairs = hier.pairs
-    _write_lines(out / "hierarchy.tsv",
-                 (f"{data.concepts.name(lo)}\t{data.concepts.name(hi)}"
-                  for lo, hi in pairs))
+        hierarchy, _ = extract_hierarchy(data.ontology_train, hierarchical_relations, m)
+    write_tsv(out / "hierarchy.tsv", hierarchy, (c, c))
     stats = dataset_stats(kb).to_dict()
     with open(out / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _read_vocab(path: Path) -> Vocab:
+    """One name per line, in id order.  A blank or repeated name is an
+    error: it would shift the id of every later name."""
+    try:
+        names = path.read_text(encoding="utf-8").split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TwoViewError(f"cannot read vocabulary file {path}: {exc}") from None
+    if names[-1] == "":
+        names.pop()
+    vocab = Vocab(names)
+    if len(vocab) < len(names) or "" in vocab:
+        line, name = next((i, n) for i, n in enumerate(names, 1)
+                          if not n or vocab.index[n] != i - 1)
+        raise TwoViewError(f"{path}:{line}: {'repeated' if name else 'blank'} "
+                           f"name {name!r} in a vocabulary file")
+    return vocab
 
 
 def load_split_dir(split_dir) -> SplitDataset:
@@ -96,20 +94,11 @@ def load_split_dir(split_dir) -> SplitDataset:
     root = Path(split_dir)
     if not root.is_dir():
         raise TwoViewError(f"split directory {root} does not exist")
-    vocabs = {}
-    for attr, fname in VOCAB_FILES.items():
-        path = root / fname
-        try:
-            names = path.read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise TwoViewError(f"cannot read vocabulary file {path}: {exc}") from None
-        vocabs[attr] = Vocab(n for n in names if n)
+    e, r, c, m = (_read_vocab(root / fname) for fname in VOCAB_FILES.values())
 
     def triples(name, head, rel, tail):
         return parse_triples(root / name, head, rel, tail, grow=False)
 
-    e, r = vocabs["entities"], vocabs["relations"]
-    c, m = vocabs["concepts"], vocabs["meta_relations"]
     return SplitDataset(
         entities=e, relations=r, concepts=c, meta_relations=m,
         instance_train=triples("instance_train.tsv", e, r, e),

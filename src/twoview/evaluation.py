@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -237,16 +237,11 @@ def _aggregate(task: str, ranks: list[int], ks=(1, 3, 10), **kw) -> EvalReport:
                       ranks=list(ranks), **kw)
 
 
-def _triples(stores: Iterable[TripleStore]) -> np.ndarray:
-    """Every triple of ``stores`` as an (n, 3) int64 array, in store order."""
-    return np.fromiter(chain.from_iterable(chain.from_iterable(stores)),
-                       np.int64).reshape(-1, 3)
-
-
 def _filter_keys(stores: Iterable[TripleStore], n_edges: int, n_nodes: int):
     """(keys, values) sorted by key: h * n_edges + r -> tails and
     r * n_nodes + t -> heads over every triple of ``stores``."""
-    h, r, t = _triples(stores).T
+    h, r, t = np.concatenate([np.empty((0, 3), np.int64),
+                              *(s.rows for s in stores)]).T
     out = []
     for keys, values in ((h * n_edges + r, t), (r * n_nodes + t, h)):
         order = np.argsort(keys)
@@ -301,7 +296,7 @@ def _ranked_triples(params: ModelParams, kind: ScorerKind, test: TripleStore,
     by_hr, by_rt = index
     max_norm = _max_norm(nodes)
     sides = (False, True) if direction == "both" else (False,)
-    triples = _triples([test])
+    triples = test.rows
     ranks = np.empty((len(triples), len(sides)), dtype=np.int64)
     step = max(1, BLOCK_ELEMENTS // n_nodes)
     for start in range(0, len(triples), step):
@@ -319,7 +314,7 @@ def _ranked_triples(params: ModelParams, kind: ScorerKind, test: TripleStore,
                            fast[np.arange(len(gold)), gold])
             ranks[start:start + step, j] = _rank(fast, gold, drop, width, exact)
             del fast    # one block's scores alive at a time
-    queries = [q for h, r, t in test
+    queries = [q for h, r, t in triples.tolist()
                for q in (((h, r, None), t), ((None, r, t), h))[:len(sides)]]
     return _aggregate(f"triple_completion_{view}", ranks.ravel().tolist(), ks,
                       filter_mode=filter_mode, queries=queries)
@@ -397,8 +392,9 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
     """
     if len(test_links) == 0:
         raise EvalError("test link store is empty")
-    by_entity = train_links.by_entity if train_links is not None else {}
-    links = np.array(list(test_links), dtype=np.intp)
+    filt = train_links.rows if train_links is not None else np.empty((0, 2), np.int64)
+    by_entity = tuple(filt[np.argsort(filt[:, 0], kind="stable")].T)   # for _lookup
+    links = test_links.rows
     concepts = params.concepts
     max_norm = _max_norm(concepts)
     step = max(1, BLOCK_ELEMENTS // concepts.shape[0])
@@ -410,13 +406,12 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
         fast = score_all_tails(ScorerKind.TRANSLATIONAL, points, zeros, concepts)
         width = _slack(ScorerKind.TRANSLATIONAL, points, zeros, False, max_norm,
                        fast[np.arange(len(gold)), gold])
-        drop = [(i, c) for i, e in enumerate(ents.tolist()) for c in by_entity.get(e, ())]
-        ranks += _rank(fast, gold, tuple(np.array(drop, dtype=np.intp).reshape(-1, 2).T),
-                       width, lambda i, c: -concept_distances(params, config, ents[i], c))
+        ranks += _rank(fast, gold, _lookup(by_entity, ents), width,
+                       lambda i, c: -concept_distances(params, config, ents[i], c))
         del fast    # one block's scores alive at a time
     return _aggregate("entity_typing", ranks, ks, variant=config.variant,
                       filter_mode=filter_mode,
-                      queries=[((e, None), c) for e, c in test_links])
+                      queries=[((e, None), c) for e, c in links.tolist()])
 
 
 def long_tail_eval(params: ModelParams, config: ModelConfig,

@@ -60,10 +60,11 @@ class LossWeights:
 
 @dataclass
 class TripleBatch:
-    """Positives with one corrupted negative each."""
+    """Positives with one corrupted negative each, as (n, 3) id arrays or
+    lists of ``Triple``s."""
 
-    pos: list[Triple]
-    neg: list[Triple]
+    pos: np.ndarray | list[Triple]
+    neg: np.ndarray | list[Triple]
 
     def __post_init__(self):
         if len(self.pos) != len(self.neg):
@@ -79,7 +80,7 @@ class PairBatch:
     cross-view links (entity, concept) or hierarchy pairs (finer, coarser).
     ``neg_second`` may be omitted for the CG mode that needs no negatives."""
 
-    pos: list[tuple[int, int]]
+    pos: np.ndarray | list[tuple[int, int]]
     neg_second: list[int] | None = None
 
     def __post_init__(self):
@@ -108,8 +109,11 @@ def _merge(ids: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _id_rows(items, width: int) -> np.ndarray:
+    """A batch's (n, width) id array, or list of id tuples, as intp rows."""
     if len(items) == 0:
         raise TwoViewError("loss batch is empty")
+    if isinstance(items, np.ndarray):
+        return items.astype(np.intp, copy=False).reshape(-1, width)
     return np.fromiter(chain.from_iterable(items), np.intp,
                        width * len(items)).reshape(-1, width)
 
@@ -157,11 +161,12 @@ class GradAccum:
 MAX_NEGATIVE_TRIES = 100
 
 
-def sample_negative_triple(pos: Triple, store, node_count: int,
+def sample_negative_triple(pos, store, node_count: int,
                            rng: np.random.Generator,
                            stats: dict | None = None) -> Triple:
-    """Corrupt head or tail (fair coin) with a uniform random node until the
-    corrupted triple is absent from ``store``.
+    """Corrupt the head or tail (fair coin) of the (head, relation, tail)
+    row ``pos`` with a uniform random node until the corrupted triple is
+    absent from ``store``.
 
     The corrupted side is chosen once; only the replacement node is redrawn.
     After MAX_NEGATIVE_TRIES rejections the last candidate is returned and a
@@ -171,13 +176,10 @@ def sample_negative_triple(pos: Triple, store, node_count: int,
     if node_count < 2:
         raise TwoViewError("need at least two nodes to sample negatives")
     corrupt_head = bool(rng.integers(2))
-    candidate = pos
+    h, r, t = pos
     for _ in range(MAX_NEGATIVE_TRIES):
         node = int(rng.integers(node_count))
-        if corrupt_head:
-            candidate = Triple(node, pos.relation, pos.tail)
-        else:
-            candidate = Triple(pos.head, pos.relation, node)
+        candidate = Triple(node, r, t) if corrupt_head else Triple(h, r, node)
         if candidate not in store:
             return candidate
     if stats is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kb import KnowledgeBase, Triple
+from .kb import KnowledgeBase, Triple, write_tsv
 
 SUBCLASS = "subclass_of"
 
@@ -147,15 +147,8 @@ def write_kb_files(kb: KnowledgeBase, out_dir) -> dict[str, str]:
         "ontology": out / "ontology_triples.tsv",
         "links": out / "links.tsv",
     }
-    with open(paths["instance"], "w", encoding="utf-8") as fh:
-        for h, r, t in kb.instance:
-            fh.write(f"{kb.entities.name(h)}\t{kb.relations.name(r)}\t"
-                     f"{kb.entities.name(t)}\n")
-    with open(paths["ontology"], "w", encoding="utf-8") as fh:
-        for h, r, t in kb.ontology:
-            fh.write(f"{kb.concepts.name(h)}\t{kb.meta_relations.name(r)}\t"
-                     f"{kb.concepts.name(t)}\n")
-    with open(paths["links"], "w", encoding="utf-8") as fh:
-        for e, c in kb.links:
-            fh.write(f"{kb.entities.name(e)}\t{kb.concepts.name(c)}\n")
+    write_tsv(paths["instance"], kb.instance, (kb.entities, kb.relations, kb.entities))
+    write_tsv(paths["ontology"], kb.ontology,
+              (kb.concepts, kb.meta_relations, kb.concepts))
+    write_tsv(paths["links"], kb.links, (kb.entities, kb.concepts))
     return {k: str(v) for k, v in paths.items()}

@@ -230,45 +230,45 @@ def train_epoch(params: ModelParams, state: OptimizerState, data: SplitDataset,
     # each step maps a batch of positives to (loss, gradients, rate)
     def instance(pos):
         negs = [sample_negative_triple(p, data.instance_train, n_e, rng, stats)
-                for p in pos]
+                for p in pos.tolist()]
         loss, grads = intra_hinge_loss(kind, TripleBatch(pos, negs),
                                        margins.instance, params, "instance")
         return loss, grads, eta
 
     def ontology(pos):
         negs = [sample_negative_triple(p, ontology_store, n_c, rng, stats)
-                for p in pos]
+                for p in pos.tolist()]
         loss, grads = intra_hinge_loss(kind, TripleBatch(pos, negs),
                                        margins.ontology, params, "ontology")
         return loss, grads.scale(weights.alpha1), eta
 
     def hierarchy_step(pos):
         negs = [sample_negative_concept(lo, hi, hierarchy, n_c, rng, stats)
-                for lo, hi in pos]
+                for lo, hi in pos.tolist()]
         loss, grads = ha_loss(PairBatch(pos, negs), margins.hierarchy, params)
         return loss, grads.scale(weights.alpha2), eta
 
     def cross(pos):     # without negatives, the CG pull-only form
         batch = PairBatch(pos, [sample_negative_concept(e, c, links, n_c, rng, stats)
-                                for e, c in pos] if sampled_cross else None)
+                                for e, c in pos.tolist()] if sampled_cross else None)
         if model_config.cross == CrossKind.TRANSFORMATION:
             return *ct_loss(batch, margins.cross, params), omega * eta
         return *cg_loss(batch, margins.cross, sampled_cross, params), omega * eta
 
     sources = [src for src in (
-        ("instance", data.instance_train.triples, config.batch_instance, instance),
-        ("ontology", ontology_store.triples, config.batch_ontology, ontology),
-        ("hierarchy", hierarchy.pairs if ha else [], config.batch_hierarchy,
+        ("instance", data.instance_train.rows, config.batch_instance, instance),
+        ("ontology", ontology_store.rows, config.batch_ontology, ontology),
+        ("hierarchy", hierarchy.rows if ha else (), config.batch_hierarchy,
          hierarchy_step),
-        ("cross", links.links if omega > 0 else [], config.batch_cross, cross),
-    ) if src[1]]
+        ("cross", links.rows if omega > 0 else (), config.batch_cross, cross),
+    ) if len(src[1])]
     orders = [rng.permutation(len(items)) for _, items, _, _ in sources]
     n_batches = [-(-len(items) // size) for _, items, size, _ in sources]
     sums = dict.fromkeys(("instance", "ontology", "hierarchy", "cross"), 0.0)
     counts = dict.fromkeys(sums, 0)
     for s, k in _schedule(n_batches).tolist():
-        name, items, size, step = sources[s]
-        positives = [items[i] for i in orders[s][k * size:(k + 1) * size]]
+        name, rows, size, step = sources[s]
+        positives = rows[orders[s][k * size:(k + 1) * size]]
         try:
             loss, grads, rate = step(positives)
             amsgrad_step(params, state, grads, rate)

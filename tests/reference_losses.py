@@ -13,6 +13,7 @@ moment and for the step), which the current forms match bitwise.
 
 import numpy as np
 
+from twoview.kb import Triple
 from twoview.model import VIEW_TABLES
 from twoview.objectives import GradAccum
 from twoview.scoring import score, score_grads
@@ -94,6 +95,7 @@ def intra_hinge_loss(kind, batch, margin, params, view):
     grads = _Rows()
     total = 0.0
     for pos, neg in zip(batch.pos, batch.neg):
+        pos, neg = Triple(*pos), Triple(*neg)       # the positives may be array rows
         s_pos = score(kind, nodes[pos.head], edges[pos.relation], nodes[pos.tail])
         s_neg = score(kind, nodes[neg.head], edges[neg.relation], nodes[neg.tail])
         bracket = margin + s_neg - s_pos

@@ -62,3 +62,21 @@ def test_eval_settings_validation():
         EvalSettings(direction="sideways")
     ok = EvalSettings(filter_mode="strict", direction="both")
     assert ok.ks == (1, 3, 10)
+
+
+@pytest.mark.parametrize("fname, edit, line, what", [
+    ("relations.txt", lambda names: names[:2] + [""] + names[2:], 3, "blank"),
+    ("entities.txt", lambda names: names[:5] + [names[1]] + names[5:], 6, "repeated"),
+    ("concepts.txt", lambda names: names + [""], len(planted_kb()[0].concepts) + 1,
+     "blank")])
+def test_blank_or_repeated_vocabulary_name_named(tmp_path, fname, edit, line, what):
+    """A blank or repeated name would shift every later id, so it is an
+    error naming the file and line rather than a silently different split."""
+    kb, _ = planted_kb()
+    write_split_dir(prepare_splits(kb, SplitSpec(seed=7)), tmp_path, kb)
+    path = tmp_path / fname
+    names = path.read_text(encoding="utf-8").split("\n")[:-1]
+    path.write_text("".join(f"{n}\n" for n in edit(names)), encoding="utf-8")
+    with pytest.raises(TwoViewError, match=f"{what} name") as exc:
+        load_split_dir(tmp_path)
+    assert f"{path}:{line}:" in str(exc.value)
