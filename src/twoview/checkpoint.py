@@ -104,7 +104,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
 
     Every malformed file raises ``CheckpointError`` naming ``path``.
     """
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from None
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     header_len = int.from_bytes(raw[8:16], "little")

@@ -59,8 +59,10 @@ def _history_csv(path, history, weights, ha_mode) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    model = cfg.require_model()
-    data = dataio.load_split_dir(cfg.require_split_dir())
+    model, split_dir = cfg.require_model(), cfg.require_split_dir()
+    data = dataio.load_split_dir(split_dir)
+    if model.hierarchy_aware:
+        dataio.check_hierarchy_file(split_dir, data, cfg.train.hierarchical_relations)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     hashes = {name: ckpt.vocab_hash(v) for name, v in _vocabs(data).items()}
@@ -243,15 +245,15 @@ def cmd_export(cfg: RunConfig, checkpoint_path, what: str,
     return 0
 
 
-def cmd_check(probes: int, seed: int, fault: str | None,
-              checkpoint_path: str | None = None,
+def cmd_check(probes: int, seed: int, checkpoint_path: str | None = None,
               cfg: RunConfig | None = None) -> int:
-    results = diagnostics.run_all(n_probes=probes, seed=seed, fault=fault)
     if checkpoint_path:
         params, _, header = ckpt.load_checkpoint(checkpoint_path)
         if cfg is not None and cfg.split_dir:
             data = dataio.load_split_dir(cfg.split_dir)
             ckpt.check_vocab_hashes(header, _vocabs(data))
+    results = diagnostics.run_all(n_probes=probes, seed=seed)
+    if checkpoint_path:
         dev = diagnostics.norm_drift(params)
         results.append(diagnostics.CheckResult(
             "checkpoint-norms", dev < 1e-5,
@@ -319,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional: split dir for checkpoint hash validation")
     p.add_argument("--checkpoint", default=None,
                    help="optional: also audit this checkpoint's norm constraint")
-    p.add_argument("--fault", default=None, help=argparse.SUPPRESS)
     return parser
 
 
@@ -331,8 +332,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "check":
             cfg = load_config(args.config) if args.config else None
-            return cmd_check(args.probes, args.seed, args.fault,
-                             args.checkpoint, cfg)
+            return cmd_check(args.probes, args.seed, args.checkpoint, cfg)
         cfg = load_config(args.config, seed_override=args.seed,
                           output_override=args.out)
         if args.command == "prepare":

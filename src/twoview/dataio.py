@@ -2,9 +2,11 @@
 
 A split directory contains the four vocabularies (one name per line, in id
 order), the six triple split files, the two link split files, the hierarchy
-pairs extracted from the ontology train split, and a stats JSON.  Loading a
-directory reconstructs the exact id assignment of the prepare run, which is
-what the checkpoint vocabulary hashes are computed over.
+pairs extracted from the ontology train split with prepare's hierarchical
+relations (``hierarchy.tsv``, which hierarchy-aware training checks against
+its own extraction), and a stats JSON.  Loading a directory reconstructs
+the exact id assignment of the prepare run, which is what the checkpoint
+vocabulary hashes are computed over.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import TwoViewError
-from .kb import (HierarchyStore, KnowledgeBase, SplitSpec, Vocab, dataset_stats,
-                 extract_hierarchy, parse_links, parse_triples, split_links,
-                 split_triples, write_tsv)
+import numpy as np
+
+from .errors import ConfigError, TwoViewError
+from .kb import (KnowledgeBase, SplitSpec, Vocab, dataset_stats,
+                 extract_hierarchy, parse_hierarchy, parse_links, parse_triples,
+                 split_links, split_triples, write_tsv)
 from .training import SplitDataset
 
 VOCAB_FILES = {
@@ -61,14 +65,29 @@ def write_split_dir(data: SplitDataset, out_dir, kb: KnowledgeBase,
             if hasattr(data, f"{view}_{part}"):
                 write_tsv(out / f"{view}_{part}.tsv", getattr(data, f"{view}_{part}"),
                           vocabs)
-    hierarchy = HierarchyStore()
-    if hierarchical_relations:
-        hierarchy, _ = extract_hierarchy(data.ontology_train, hierarchical_relations, m)
+    hierarchy, _ = extract_hierarchy(data.ontology_train, hierarchical_relations or [], m)
     write_tsv(out / "hierarchy.tsv", hierarchy, (c, c))
     stats = dataset_stats(kb).to_dict()
     with open(out / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def check_hierarchy_file(split_dir, data: SplitDataset,
+                         hierarchical_relations) -> None:
+    """Raise ``ConfigError`` unless the split directory's ``hierarchy.tsv``,
+    the pairs prepare extracted, holds the pairs, in order, that
+    ``hierarchical_relations`` extract from its ontology train split: the
+    pairs hierarchy-aware training uses."""
+    path = Path(split_dir) / "hierarchy.tsv"
+    written = parse_hierarchy(path, data.concepts)
+    names = list(hierarchical_relations)
+    wanted, _ = extract_hierarchy(data.ontology_train, names, data.meta_relations)
+    if not np.array_equal(written.rows, wanted.rows):
+        raise ConfigError(
+            f"{path} does not hold the {len(wanted)} hierarchy pairs that {names} "
+            f"extract from the ontology train split (it holds {len(written)}); "
+            "prepare the split again with the same hierarchical_relations")
 
 
 def _read_vocab(path: Path) -> Vocab:

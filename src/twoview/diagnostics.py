@@ -119,7 +119,7 @@ def _scorer_probe(kind: ScorerKind, rng, d=8):
 
 
 def check_scorer_gradients(kind: ScorerKind, n_probes: int = 100, d: int = 8,
-                           seed: int = 0, corrupt: bool = False) -> float:
+                           seed: int = 0) -> float:
     """Max finite-difference error of score_grads over random probes."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -131,8 +131,6 @@ def check_scorer_gradients(kind: ScorerKind, n_probes: int = 100, d: int = 8,
             return score(kind, vec[:d], vec[d:2 * d], vec[2 * d:])
 
         grads = np.concatenate(score_grads(kind, h, r, t))
-        if corrupt:
-            grads = grads * 2.0
         worst = max(worst, finite_diff_check(loss, grads, point))
     return worst
 
@@ -156,7 +154,7 @@ def _intra_probe(kind: ScorerKind, params: ModelParams, rng, batch_size=3):
             return TripleBatch(pos, neg)
 
 
-def _gradient_check(probe, n_probes: int, seed: int, corrupt: bool) -> float:
+def _gradient_check(probe, n_probes: int, seed: int) -> float:
     """Max finite-difference error of a public loss over ``n_probes``
     probes; ``probe(rng)`` gives (params, loss, args), with ``args(p)`` the
     loss's arguments at parameters p."""
@@ -168,8 +166,6 @@ def _gradient_check(probe, n_probes: int, seed: int, corrupt: bool) -> float:
             gvec = grads_to_vector(loss(*args(params))[1], params)
             if _well_conditioned(gvec):
                 break
-        if corrupt:
-            gvec = gvec * 2.0
         point = params_to_vector(params)
         shifted = point.copy()      # the arguments at ``shifted`` view its blocks
         at_shifted = args(vector_to_params(shifted, params))
@@ -182,15 +178,14 @@ def _gradient_check(probe, n_probes: int, seed: int, corrupt: bool) -> float:
     return worst
 
 
-def check_intra_gradients(kind: ScorerKind, n_probes: int = 50, seed: int = 0,
-                          corrupt: bool = False) -> float:
+def check_intra_gradients(kind: ScorerKind, n_probes: int = 50, seed: int = 0) -> float:
     """Finite-difference gate for the intra-view hinge loss."""
     def probe(rng):
         params = _random_params(rng)
         batch = _intra_probe(kind, params, rng)
         return params, intra_hinge_loss, lambda p: (kind, batch, 0.5, p, "instance")
 
-    return _gradient_check(probe, n_probes, seed, corrupt)
+    return _gradient_check(probe, n_probes, seed)
 
 
 def _pair_probe(params: ModelParams, rng, mode: str, margin=0.5, batch_size=3):
@@ -219,8 +214,7 @@ def _pair_probe(params: ModelParams, rng, mode: str, margin=0.5, batch_size=3):
             return PairBatch(pos, neg)
 
 
-def check_cross_gradients(mode: str, n_probes: int = 50, seed: int = 0,
-                          corrupt: bool = False) -> float:
+def check_cross_gradients(mode: str, n_probes: int = 50, seed: int = 0) -> float:
     """Finite-difference gate for the CG (both modes), CT and HA losses."""
     if mode not in ("cg-plain", "cg-sampled", "ct", "ha"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -233,7 +227,7 @@ def check_cross_gradients(mode: str, n_probes: int = 50, seed: int = 0,
                 lambda p: (batch, 0.5, p)
         return params, cg_loss, lambda p: (batch, 0.5, mode == "cg-sampled", p)
 
-    return _gradient_check(probe, n_probes, seed, corrupt)
+    return _gradient_check(probe, n_probes, seed)
 
 
 # --------------------------------------------------------------------------
@@ -290,11 +284,8 @@ class CheckResult:
     detail: str
 
 
-def run_all(n_probes: int = 100, seed: int = 0,
-            fault: str | None = None) -> list[CheckResult]:
-    """Run every diagnostic; ``fault`` names one check whose analytic
-    gradient is deliberately corrupted (a harness hook for verifying that
-    failures are caught)."""
+def run_all(n_probes: int = 100, seed: int = 0) -> list[CheckResult]:
+    """Run every diagnostic, in a fixed order."""
     results = []
 
     exact = circ_correlation(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
@@ -306,24 +297,18 @@ def run_all(n_probes: int = 100, seed: int = 0,
                                f"max relative difference {diff:.3g}"))
 
     for kind in ScorerKind:
-        name = f"grad-scorer-{kind.value}"
-        err = check_scorer_gradients(kind, n_probes=n_probes, seed=seed,
-                                     corrupt=(fault == name))
-        results.append(CheckResult(name, err < GRADIENT_GATE,
+        err = check_scorer_gradients(kind, n_probes=n_probes, seed=seed)
+        results.append(CheckResult(f"grad-scorer-{kind.value}", err < GRADIENT_GATE,
                                    f"max relative error {err:.3g}"))
 
     for kind in ScorerKind:
-        name = f"grad-intra-{kind.value}"
-        err = check_intra_gradients(kind, n_probes=max(10, n_probes // 2),
-                                    seed=seed, corrupt=(fault == name))
-        results.append(CheckResult(name, err < GRADIENT_GATE,
+        err = check_intra_gradients(kind, n_probes=max(10, n_probes // 2), seed=seed)
+        results.append(CheckResult(f"grad-intra-{kind.value}", err < GRADIENT_GATE,
                                    f"max relative error {err:.3g}"))
 
     for mode in ("cg-plain", "cg-sampled", "ct", "ha"):
-        name = f"grad-{mode}"
-        err = check_cross_gradients(mode, n_probes=max(10, n_probes // 2),
-                                    seed=seed, corrupt=(fault == name))
-        results.append(CheckResult(name, err < GRADIENT_GATE,
+        err = check_cross_gradients(mode, n_probes=max(10, n_probes // 2), seed=seed)
+        results.append(CheckResult(f"grad-{mode}", err < GRADIENT_GATE,
                                    f"max relative error {err:.3g}"))
 
     dev = norm_audit(seed=seed)

@@ -451,13 +451,10 @@ def populate_relation_query(params: ModelParams, config: ModelConfig,
             "relation population queries are defined only for translational "
             f"CT variants, not {config.variant}")
     m = params.map("ct")
-    w_pinv = np.linalg.pinv(np.asarray(m.W, dtype=np.float64))
     m64 = AffineMap(np.asarray(m.W, dtype=np.float64),
                     np.asarray(m.b, dtype=np.float64))
-    head_pre = affine_tanh_pinv(m64, np.asarray(params.concepts[c_head], np.float64),
-                                w_pinv=w_pinv)
-    tail_pre = affine_tanh_pinv(m64, np.asarray(params.concepts[c_tail], np.float64),
-                                w_pinv=w_pinv)
+    head_pre, tail_pre = affine_tanh_pinv(
+        m64, params.concepts[[c_head, c_tail]].astype(np.float64))
     v = tail_pre - head_pre
     distances = np.linalg.norm(params.relations.astype(np.float64) - v[None, :],
                                axis=1)

@@ -2,16 +2,18 @@
 
 A knowledge base holds an instance-view graph (entities and relations) and an
 ontology-view graph (concepts and meta-relations), bridged by entity->concept
-links and, optionally, a set of fine->coarse concept hierarchy pairs.  All
-four vocabularies are kept separate so the two views can never share ids.
+links.  Fine->coarse concept hierarchy pairs are extracted from the ontology
+triples of chosen meta-relations.  All four vocabularies are kept separate so
+the two views can never share ids.
 
 File formats are TAB-separated UTF-8: triples as ``head\\trelation\\ttail``
 and links / hierarchy pairs as two columns.  Names may contain spaces but not
 tabs, and may not be empty.  Blank lines are ignored; any other line with the
 wrong field count or an empty field is a parse error.  A file is read in
 chunks of lines whose checks and vocabulary lookups run in bulk.  A store
-holds its rows as one int64 id array; its tuples, ``by_entity`` and
-membership set are derived from it.
+is built once, from an array or an iterable of id rows, and holds them as
+one read-only int64 id array; its tuples, ``by_entity`` and membership set
+are derived from it.
 """
 
 from __future__ import annotations
@@ -81,10 +83,10 @@ def _as_rows(items, width: int) -> np.ndarray:
     return rows
 
 
-def _packed(rows: np.ndarray, bits: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
-    """Field widths holding ``bits`` and every id of ``rows``, and one int64
-    key per row with each column's id in its field."""
-    bits = tuple(map(max, bits, (int(x).bit_length() for x in rows.max(0, initial=0))))
+def _packed(rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Field widths holding every id of ``rows``, and one int64 key per row
+    with each column's id in its field."""
+    bits = tuple(int(x).bit_length() for x in rows.max(0, initial=0))
     if sum(bits) > 63:
         raise TwoViewError(f"ids too large to pack into one int64 key ({bits} bits)")
     keys = rows[:, 0].copy()
@@ -96,48 +98,27 @@ def _packed(rows: np.ndarray, bits: tuple[int, ...]) -> tuple[tuple[int, ...], n
 
 class _IdRows:
     """Deduplicated int64 (n, k) id rows in first-occurrence order, the body
-    of the three stores.  Repeated rows are dropped with one ``np.unique``
-    over packed keys and counted.  Membership is a set of the keys, built on
-    the first query; an id outside its column's field [0, 2**bits) is never
-    a member, so keys cannot alias.  ``add`` of a wider id widens the
-    fields, and the set is built again."""
+    of the three stores.  A store is built once, by its constructor, and
+    never changes.  Repeated rows are dropped with one ``np.unique`` over
+    packed keys and counted.  Membership is a set of the keys, built on the
+    first query; an id outside its column's field [0, 2**bits) is never a
+    member, so keys cannot alias."""
 
-    __slots__ = ("_rows", "_added", "_bits", "_keys", "duplicates_dropped")
+    __slots__ = ("rows", "_bits", "_keys", "duplicates_dropped")
     WIDTH, _ROW = 2, tuple
 
     def __init__(self, rows=()):
         rows = _as_rows(rows, self.WIDTH)
-        self._bits, keys = _packed(rows, (0,) * self.WIDTH)
+        self._bits, keys = _packed(rows)
         first = np.sort(np.unique(keys, return_index=True)[1])
-        self._rows, self._added, self._keys = rows[first], [], None
-        self._rows.flags.writeable = False
+        self.rows, self._keys = rows[first], None      # (n, k) ids, read-only
+        self.rows.flags.writeable = False
         self.duplicates_dropped = len(rows) - len(first)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The (n, k) int64 ids in store order, read-only."""
-        if self._added:
-            self._rows = np.concatenate((self._rows, *self._added))
-            self._rows.flags.writeable, self._added = False, []
-        return self._rows
 
     def _members(self) -> set[int]:
         if self._keys is None:
-            self._keys = set(_packed(self.rows, self._bits)[1].tolist())
+            self._keys = set(_packed(self.rows)[1].tolist())
         return self._keys
-
-    def _add(self, row) -> bool:
-        """Append ``row`` unless stored; False (and counted) if it is."""
-        new = _as_rows([row], self.WIDTH)
-        bits, key = _packed(new, self._bits)
-        if bits != self._bits:
-            self._bits, self._keys = bits, None
-        if int(key[0]) in self._members():
-            self.duplicates_dropped += 1
-            return False
-        self._keys.add(int(key[0]))
-        self._added.append(new)
-        return True
 
     def _has_pair(self, pair) -> bool:
         a, b = pair
@@ -146,7 +127,7 @@ class _IdRows:
             (a << bits_b | b) in (self._keys or self._members())
 
     def __len__(self) -> int:
-        return len(self._rows) + len(self._added)
+        return len(self.rows)
 
     def __iter__(self):
         return map(self._ROW, self.rows.tolist())
@@ -158,10 +139,6 @@ class TripleStore(_IdRows):
     __slots__ = ()
     WIDTH, _ROW = 3, Triple._make
     triples = property(tuple, doc="Every triple in store order (a derived tuple).")
-
-    def add(self, t: Triple) -> bool:
-        """Insert ``t``; returns False (and counts it) on duplicates."""
-        return self._add(t)
 
     def __contains__(self, triple) -> bool:
         h, r, t = triple
@@ -181,13 +158,9 @@ class CrossLinkStore(_IdRows):
         super().__init__(links)
         self.skipped_unknown, self._by_entity = 0, None
 
-    def add(self, entity: int, concept: int) -> bool:
-        self._by_entity = None
-        return self._add((entity, concept))
-
     @property
     def by_entity(self) -> Mapping[int, tuple[int, ...]]:
-        """Read-only entity -> its concepts in store order, built once per change."""
+        """Read-only entity -> its concepts in store order, built on first use."""
         if self._by_entity is None:
             groups: dict[int, list[int]] = {}
             for e, c in self.rows.tolist():
@@ -205,14 +178,9 @@ class HierarchyStore(_IdRows):
 
     def __init__(self, pairs=()):
         super().__init__(pairs)
-        same = self._rows[self._rows[:, 0] == self._rows[:, 1], 0]
+        same = self.rows[self.rows[:, 0] == self.rows[:, 1], 0]
         if len(same):
             raise TwoViewError(f"hierarchy pair with identical concepts (id {same[0]})")
-
-    def add(self, finer: int, coarser: int) -> bool:
-        if finer == coarser:
-            raise TwoViewError(f"hierarchy pair with identical concepts (id {finer})")
-        return self._add((finer, coarser))
 
 
 @dataclass
@@ -226,7 +194,6 @@ class KnowledgeBase:
     instance: TripleStore = field(default_factory=TripleStore)
     ontology: TripleStore = field(default_factory=TripleStore)
     links: CrossLinkStore = field(default_factory=CrossLinkStore)
-    hierarchy: HierarchyStore = field(default_factory=HierarchyStore)
 
 
 @dataclass(frozen=True)
@@ -263,7 +230,7 @@ def _read_ids(path, vocabs: tuple[Vocab, ...], unknown: str = "error") -> np.nda
     A name missing from its column's vocabulary is an error (``unknown``
     "error"), is interned in first-occurrence order ("grow"), or reads as
     -1 ("skip").  A file that is missing, unreadable or not UTF-8 raises
-    ``TwoViewError``.
+    ``TwoViewError``; a non-UTF-8 one names the line of its first bad byte.
     """
     blocks, first = [], 1
     try:
@@ -271,9 +238,24 @@ def _read_ids(path, vocabs: tuple[Vocab, ...], unknown: str = "error") -> np.nda
             for text in _line_chunks(fh):
                 blocks.append(_chunk_ids(path, first, text, vocabs, unknown))
                 first += text.count("\n")
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise TwoViewError(f"cannot read {path}: line {_bad_byte_line(path)} "
+                           f"is not UTF-8 ({exc.reason})") from None
+    except OSError as exc:
         raise TwoViewError(f"cannot read {path}: {exc}") from None
     return np.concatenate(blocks or [np.empty((0, len(vocabs)), np.int64)])
+
+
+def _bad_byte_line(path) -> int:
+    """The line, counted as the text reader splits lines (at LF, CRLF or CR),
+    of the first byte of ``path`` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        head = fh.read()
+    try:
+        head.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = head[:exc.start]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
 
 
 def _line_chunks(fh):
@@ -388,6 +370,12 @@ def parse_links(path, entity_vocab: Vocab, concept_vocab: Vocab) -> CrossLinkSto
         log.warning("%s: dropped %d duplicate links", path,
                     store.duplicates_dropped)
     return store
+
+
+def parse_hierarchy(path, concept_vocab: Vocab) -> HierarchyStore:
+    """Read a 2-column TSV hierarchy file (finer, coarser) into a store; an
+    unknown concept is an error."""
+    return HierarchyStore(_read_ids(path, (concept_vocab, concept_vocab)))
 
 
 def write_tsv(path, store: _IdRows, vocabs: tuple[Vocab, ...]) -> None:
@@ -527,10 +515,7 @@ def dataset_stats(kb: KnowledgeBase) -> Stats:
 
 def load_kb(instance_path, ontology_path, links_path) -> KnowledgeBase:
     """Parse the three raw dataset files into a fresh KB, growing all vocabs."""
-    kb = KnowledgeBase()
-    kb.instance = parse_triples(instance_path, kb.entities, kb.relations,
-                                kb.entities, grow=True)
-    kb.ontology = parse_triples(ontology_path, kb.concepts, kb.meta_relations,
-                                kb.concepts, grow=True)
-    kb.links = parse_links(links_path, kb.entities, kb.concepts)
-    return kb
+    e, r, c, m = Vocab(), Vocab(), Vocab(), Vocab()
+    instance = parse_triples(instance_path, e, r, e, grow=True)
+    ontology = parse_triples(ontology_path, c, m, c, grow=True)
+    return KnowledgeBase(e, r, c, m, instance, ontology, parse_links(links_path, e, c))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kb import KnowledgeBase, Triple, write_tsv
+from .kb import CrossLinkStore, KnowledgeBase, TripleStore, Vocab, write_tsv
 
 SUBCLASS = "subclass_of"
 
@@ -53,53 +53,43 @@ def planted_kb(n_clusters: int = 20, entities_per_cluster: int = 10,
     if n_clusters % n_relations:
         raise ValueError("the cycle labels edges r{c % n_relations}, so "
                          "n_clusters must be a multiple of n_relations")
-    kb = KnowledgeBase()
-    for c in range(n_clusters):
-        kb.concepts.add(f"concept{c:02d}")
-    for j in range(n_relations):
-        kb.relations.add(f"r{j}")
-    # one regular meta-relation per instance relation: the ontology edge
-    # mirroring keeps the same period as the entity-view schema, which
-    # leaves the concept geometry unconflicted
-    kb.meta_relations.add(SUBCLASS)
-    n_meta_regular = n_relations
-    for m in range(n_meta_regular):
-        kb.meta_relations.add(f"m{m}")
-
-    for c in range(n_clusters):
-        for i in range(entities_per_cluster):
-            e = kb.entities.add(f"e{c:02d}_{i}")
-            kb.links.add(e, c)
-
     def ent(cluster: int, i: int) -> int:
         return cluster * entities_per_cluster + i
 
+    links = [(ent(c, i), c) for c in range(n_clusters)
+             for i in range(entities_per_cluster)]
+    instance, ontology = [], []
     relation_of_pair: dict[tuple[int, int], int] = {}
     for c in range(n_clusters):
         nxt = (c + 1) % n_clusters
         rel = c % n_relations
         relation_of_pair[(c, nxt)] = rel
-        for i in range(entities_per_cluster):
-            for j in range(entities_per_cluster):
-                kb.instance.add(Triple(ent(c, i), rel, ent(nxt, j)))
-        meta = 1 + (rel % n_meta_regular)  # skip the subclass meta-relation
-        kb.ontology.add(Triple(c, meta, nxt))
+        instance += [(ent(c, i), rel, ent(nxt, j)) for i in range(entities_per_cluster)
+                     for j in range(entities_per_cluster)]
+        # one regular meta-relation m{rel} per instance relation, after
+        # SUBCLASS: the ontology edge mirroring keeps the same period as the
+        # entity-view schema, which leaves the concept geometry unconflicted
+        ontology.append((c, 1 + rel, nxt))
 
     # hierarchy: chains of branch_len concepts, finer -> coarser.  Branch
     # membership walks a permuted concept order so subclass edges do not
     # align with the relation schema's concept pairs (which would crowd the
     # learned concept geometry along one direction).
-    subclass_id = kb.meta_relations.id(SUBCLASS)
     stride = 7 if n_clusters % 7 else 3
     scrambled = [(stride * i + 3) % n_clusters for i in range(n_clusters)]
     for start in range(0, n_clusters, branch_len):
         branch = scrambled[start:start + branch_len]
-        for level in range(branch_len - 1):
-            finer = branch[level + 1]
-            coarser = branch[level]
-            kb.ontology.add(Triple(finer, subclass_id, coarser))
-            kb.hierarchy.add(finer, coarser)
+        ontology += [(branch[level + 1], 0, branch[level])   # 0 is SUBCLASS
+                     for level in range(branch_len - 1)]
 
+    kb = KnowledgeBase(
+        entities=Vocab(f"e{c:02d}_{i}" for c in range(n_clusters)
+                       for i in range(entities_per_cluster)),
+        relations=Vocab(f"r{j}" for j in range(n_relations)),
+        concepts=Vocab(f"concept{c:02d}" for c in range(n_clusters)),
+        meta_relations=Vocab([SUBCLASS] + [f"m{m}" for m in range(n_relations)]),
+        instance=TripleStore(instance), ontology=TripleStore(ontology),
+        links=CrossLinkStore(links))
     schema = PlantedSchema(n_clusters=n_clusters,
                            entities_per_cluster=entities_per_cluster,
                            n_relations=n_relations,
@@ -114,26 +104,21 @@ def random_kb(seed: int = 0, n_entities: int = 20, n_relations: int = 5,
     """An unstructured KB with the requested sizes (triples deduplicated,
     so stores may come out slightly smaller than asked)."""
     rng = np.random.default_rng(seed)
-    kb = KnowledgeBase()
-    for i in range(n_entities):
-        kb.entities.add(f"ent{i}")
-    for i in range(n_relations):
-        kb.relations.add(f"rel{i}")
-    for i in range(n_concepts):
-        kb.concepts.add(f"con{i}")
-    for i in range(n_meta):
-        kb.meta_relations.add(f"meta{i}")
-    for _ in range(n_instance_triples):
-        kb.instance.add(Triple(int(rng.integers(n_entities)),
-                               int(rng.integers(n_relations)),
-                               int(rng.integers(n_entities))))
-    for _ in range(n_ontology_triples):
-        kb.ontology.add(Triple(int(rng.integers(n_concepts)),
-                               int(rng.integers(n_meta)),
-                               int(rng.integers(n_concepts))))
-    for _ in range(n_links):
-        kb.links.add(int(rng.integers(n_entities)), int(rng.integers(n_concepts)))
-    return kb
+
+    def draws(*highs: int, n: int) -> list[tuple[int, ...]]:
+        """``n`` rows of one ``rng.integers`` draw per column, row by row."""
+        return [tuple(int(rng.integers(h)) for h in highs) for _ in range(n)]
+
+    instance = draws(n_entities, n_relations, n_entities, n=n_instance_triples)
+    ontology = draws(n_concepts, n_meta, n_concepts, n=n_ontology_triples)
+    links = draws(n_entities, n_concepts, n=n_links)
+    return KnowledgeBase(
+        entities=Vocab(f"ent{i}" for i in range(n_entities)),
+        relations=Vocab(f"rel{i}" for i in range(n_relations)),
+        concepts=Vocab(f"con{i}" for i in range(n_concepts)),
+        meta_relations=Vocab(f"meta{i}" for i in range(n_meta)),
+        instance=TripleStore(instance), ontology=TripleStore(ontology),
+        links=CrossLinkStore(links))
 
 
 def write_kb_files(kb: KnowledgeBase, out_dir) -> dict[str, str]:

@@ -136,13 +136,14 @@ def affine_tanh(m: AffineMap, x: np.ndarray) -> np.ndarray:
     return np.clip(out, np.nextafter(-one, one), np.nextafter(one, -one))
 
 
-def affine_tanh_pinv(m: AffineMap, y: np.ndarray, clamp_delta: float = 1e-6,
-                     w_pinv: np.ndarray | None = None) -> np.ndarray:
-    """Minimum-norm preimage of the tanh-affine map.
+def affine_tanh_pinv(m: AffineMap, y: np.ndarray, clamp_delta: float = 1e-6) -> np.ndarray:
+    """Minimum-norm preimage of the tanh-affine map; accepts a single target
+    or a (n, d_out) batch.
 
     Returns ``pinv(W) @ (artanh(clip(y, -1+delta, 1-delta)) - b)``.  For
-    well-conditioned W this is a left inverse on the row space.  Pass a
-    precomputed ``w_pinv`` when inverting many targets against one map.
+    well-conditioned W this is a left inverse on the row space.  A
+    rank-deficient W is logged once per call, with its condition number
+    computed in 64-bit.
     """
     y = np.asarray(y)
     if not 0.0 < clamp_delta <= 0.1:
@@ -150,15 +151,12 @@ def affine_tanh_pinv(m: AffineMap, y: np.ndarray, clamp_delta: float = 1e-6,
     if y.shape[-1] != m.d_out:
         raise TwoViewError(
             f"target dim {y.shape[-1]} does not match map output dim {m.d_out}")
-    if w_pinv is None:
-        w_pinv = np.linalg.pinv(m.W)
-        sv = np.linalg.svd(m.W, compute_uv=False)
-        if sv[-1] < 1e-10 * sv[0]:
-            log.warning("pseudo-inverting a rank-deficient map "
-                        "(condition number %.3g)", sv[0] / max(sv[-1], 1e-300))
+    w_pinv = np.linalg.pinv(m.W)
+    sv = np.linalg.svd(np.asarray(m.W, np.float64), compute_uv=False)
+    if sv[-1] < 1e-10 * sv[0]:
+        log.warning("pseudo-inverting a rank-deficient map "
+                    "(condition number %.3g)", sv[0] / max(sv[-1], 1e-300))
     z = np.arctanh(np.clip(y, -1.0 + clamp_delta, 1.0 - clamp_delta))
-    if y.ndim == 1:
-        return w_pinv @ (z - m.b)
     return (z - m.b) @ w_pinv.T
 
 

@@ -297,9 +297,6 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     on the instance validation triples, and the parameters of the epoch
     with the best validation MRR are returned instead.
     """
-    if model_config.cross == CrossKind.GROUPING and model_config.d_e != model_config.d_c:
-        raise ConfigError("CG requires d_e == d_c")
-
     ontology_store = data.ontology_train
     hierarchy = None
     if model_config.hierarchy_aware:

@@ -1,30 +1,18 @@
 import numpy as np
 import pytest
 
-from twoview.kb import KnowledgeBase, Triple
+from twoview.kb import CrossLinkStore, KnowledgeBase, Triple, TripleStore, Vocab
 
 
 @pytest.fixture
 def tiny_kb():
     """Three entities, two relations, two concepts, with every store filled."""
-    kb = KnowledgeBase()
-    for name in ("a", "b", "c"):
-        kb.entities.add(name)
-    for name in ("r1", "r2"):
-        kb.relations.add(name)
-    for name in ("x", "y"):
-        kb.concepts.add(name)
-    for name in ("subclass_of", "related_to"):
-        kb.meta_relations.add(name)
-    kb.instance.add(Triple(0, 0, 1))
-    kb.instance.add(Triple(1, 0, 2))
-    kb.instance.add(Triple(2, 1, 0))
-    kb.ontology.add(Triple(0, 0, 1))
-    kb.ontology.add(Triple(0, 1, 1))
-    kb.links.add(0, 0)
-    kb.links.add(1, 0)
-    kb.links.add(2, 1)
-    return kb
+    return KnowledgeBase(
+        entities=Vocab(["a", "b", "c"]), relations=Vocab(["r1", "r2"]),
+        concepts=Vocab(["x", "y"]), meta_relations=Vocab(["subclass_of", "related_to"]),
+        instance=TripleStore([Triple(0, 0, 1), Triple(1, 0, 2), Triple(2, 1, 0)]),
+        ontology=TripleStore([Triple(0, 0, 1), Triple(0, 1, 1)]),
+        links=CrossLinkStore([(0, 0), (1, 0), (2, 1)]))
 
 
 @pytest.fixture

@@ -153,6 +153,15 @@ class TestValidation:
             load_checkpoint(p)
         assert str(p) in str(exc.value)
 
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()],
+                             ids=["missing", "directory"])
+    def test_unreadable_file_rejected(self, tmp_path, make):
+        p = tmp_path / "t.ckpt"
+        make(p)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(p)
+        assert str(exc.value).startswith(f"cannot read checkpoint {p}: ")
+
     def test_vocab_hash_mismatch_refused(self, tmp_path):
         config, params = make_params()
         vocabs = {"entities": Vocab(["a", "b", "c", "d", "e"]),

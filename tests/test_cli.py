@@ -399,11 +399,54 @@ def test_check_command_audits_checkpoint(workspace, capsys):
     assert "[PASS] checkpoint-norms" in out
 
 
-def test_check_command_catches_injected_fault(capsys):
-    assert main(["check", "--probes", "3", "--seed", "0", "--fault",
-                 "grad-ct"]) == 1
+def test_check_command_catches_injected_fault(monkeypatch, capsys):
+    """A doubled analytic gradient in the CT check (the only gradient check
+    whose parameters hold a CT map) fails that check, and only it."""
+    from twoview import diagnostics
+    real = diagnostics.grads_to_vector
+
+    def doubled_for_ct(grads, template):
+        return real(grads, template) * (2.0 if template.ct_map is not None else 1.0)
+    monkeypatch.setattr(diagnostics, "grads_to_vector", doubled_for_ct)
+    assert main(["check", "--probes", "3", "--seed", "0"]) == 1
     out = capsys.readouterr().out
-    assert "[FAIL] grad-ct" in out
+    assert re.findall(r"\[FAIL\] (\S+):", out) == ["grad-ct"]
+
+
+def test_unreadable_checkpoint_or_config_is_an_error(tmp_path, capsys):
+    """A missing checkpoint, a config path that is a directory and a config
+    that is not UTF-8 each end in `error: ...` naming the file, exit 2."""
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"output_dir": "caf\xe9"}')
+    missing = tmp_path / "missing.ckpt"
+    for argv, path in [(["check", "--checkpoint", str(missing)], missing),
+                       (["check", "--config", str(tmp_path)], tmp_path),
+                       (["train", "--config", str(latin1)], latin1)]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err, err
+
+
+def test_ha_train_refuses_a_different_hierarchy_file(workspace, tmp_path, capsys):
+    """`hierarchy.tsv` holds the pairs prepare extracted; an HA run whose
+    hierarchical relations extract other pairs stops with an error naming
+    the file instead of training on pairs the split directory does not hold."""
+    _, cfg_path, _, _ = workspace
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["dataset"]["split_dir"] = str(tmp_path / "splits")
+    cfg["model"]["variant"] = "HATransE-CT"
+    cfg["train"]["epochs"] = 1
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "ha.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["prepare", "--config", str(path)]) == 0
+    assert main(["train", "--config", str(path)]) == 0
+    cfg["dataset"]["hierarchical_relations"] += [f"m{i}" for i in range(10)]
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "splits" / "hierarchy.tsv") in err
 
 
 def test_train_checkpoint_interval(workspace, tmp_path):

@@ -1,4 +1,6 @@
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -409,11 +411,10 @@ class TestTypingScores:
 class TestEntityTypingEval:
     def test_perfect_projection_accuracy(self):
         config, params = random_model(variant="TransE-CT")
-        links = CrossLinkStore()
         for e in range(6):
             proj = affine_tanh(params.ct_map, params.entities[e])
             params.concepts[e % 8] = proj + 1e-9 * np.arange(6)
-            links.add(e, e % 8)
+        links = CrossLinkStore((e, e % 8) for e in range(6))
         rep = entity_typing_eval(params, config, links)
         assert rep.hits[1] == 1.0
 
@@ -488,7 +489,7 @@ def planted_typing(variant, d_e, n_links=40, copies=2, near=30, seed=0):
     ents = rng.choice(3 * n_links, n_links, replace=False).tolist()
     golds = rng.choice(n_c, n_links, replace=False).tolist()
     spare = iter(rng.permutation(np.setdiff1d(np.arange(n_c), golds)).tolist())
-    test, train = CrossLinkStore(), CrossLinkStore()
+    test, train = [], []
     for e, g in zip(ents, golds):
         point = evaluation._images(params, config, params.entities[e])
         params.concepts[g] = point + 1e-3 * rng.standard_normal(50)
@@ -496,15 +497,15 @@ def planted_typing(variant, d_e, n_links=40, copies=2, near=30, seed=0):
             c = next(spare)
             params.concepts[c] = params.concepts[g]
             if j == 0:
-                train.add(e, c)
+                train.append((e, c))
         for _ in range(near):
             row = params.concepts[g].copy()
             k = rng.choice(50, int(rng.integers(1, 4)), replace=False)
             row[k] = np.nextafter(row[k], np.where(rng.random(len(k)) < 0.5,
                                                    np.float32(-1), np.float32(1)))
             params.concepts[next(spare)] = row
-        test.add(e, g)
-    return config, params, test, train
+        test.append((e, g))
+    return config, params, CrossLinkStore(test), CrossLinkStore(train)
 
 
 def typing_oracle(params, config, test, train):
@@ -628,6 +629,18 @@ class TestPopulateRelationQuery:
             config, params = random_model(variant=bad, d_e=d_e, d_c=d_c)
             with pytest.raises(ConfigError):
                 populate_relation_query(params, config, 0, 1, k=3)
+
+    def test_rank_deficient_map_warns_once(self, caplog):
+        config = ModelConfig.from_variant("TransE-CT", 8, 6)
+        params = ModelParams.init(config, 20, 5, 8, 3, np.random.default_rng(0))
+        params.ct_map.W[2] = 0.0                    # float32, rank 5 of 6
+        with warnings.catch_warnings(), \
+                caplog.at_level(logging.WARNING, logger="twoview.tensor_ops"):
+            warnings.simplefilter("error", RuntimeWarning)
+            assert len(populate_relation_query(params, config, 0, 1, k=3)) == 3
+        warned = [r.getMessage() for r in caplog.records]
+        assert len(warned) == 1 and "rank-deficient" in warned[0]
+        assert "inf" not in warned[0]
 
     def test_invariant_under_relation_permutation(self):
         config, params = random_model(variant="TransE-CT", n_r=6, seed=10)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from twoview.kb import (CrossLinkStore, SplitSpec, Triple, TripleStore, Vocab,
                         long_tail_slice, parse_links, parse_triples,
                         split_links, split_triples)
 from twoview.prng import SplitMix64, fisher_yates
+from twoview.synth import planted_kb, random_kb
 
 
 def test_vocab_roundtrip():
@@ -191,10 +193,8 @@ def test_entity_frequency():
 
 
 def test_entity_frequency_total_is_twice_triples(rng):
-    store = TripleStore()
-    for _ in range(200):
-        store.add(Triple(int(rng.integers(20)), int(rng.integers(3)),
-                         int(rng.integers(20))))
+    store = TripleStore(Triple(int(rng.integers(20)), int(rng.integers(3)),
+                               int(rng.integers(20))) for _ in range(200))
     freq = entity_frequency(store)
     assert sum(freq.values()) == 2 * len(store)
 
@@ -224,3 +224,38 @@ def test_dataset_stats_empty():
     from twoview.kb import KnowledgeBase
     stats = dataset_stats(KnowledgeBase())
     assert all(v == 0 for v in stats.to_dict().values())
+
+
+def _kb_sha256(kb) -> str:
+    """SHA-256 over the four vocabularies' names in id order, then each
+    store's little-endian int64 rows and its duplicate count."""
+    h = hashlib.sha256()
+    for vocab in (kb.entities, kb.relations, kb.concepts, kb.meta_relations):
+        h.update("\n".join(vocab.names).encode() + b"\0")
+    for store in (kb.instance, kb.ontology, kb.links):
+        h.update(store.rows.astype("<i8").tobytes() + b"%d\0" % store.duplicates_dropped)
+    return h.hexdigest()
+
+
+# The synthetic KBs every end-to-end test trains on, pinned byte for byte:
+# a change to their names, row order or deduplication fails here first.
+SYNTH_SHA256 = {
+    "planted_kb()": (lambda: planted_kb()[0],
+                     "7d4b05ee7499940b3c5a01858c074cbf2165714d9a81773a806c0803b9193199"),
+    "planted_kb(30, 5, 10, 5)": (lambda: planted_kb(30, 5, 10, 5)[0],
+                                 "88958ff9b3ccefa4366bf656f1f11ebc603a3d943f7efd2fc5b4c4984b3c04a7"),
+    "random_kb(0)": (lambda: random_kb(0),
+                     "98f03c61359ba0d3c3759e69945ab453b7ec146a32370d5447c0d109edfd9d74"),
+    "random_kb(7)": (lambda: random_kb(7),
+                     "6e622eabf3ecfb4f71e788fa1d5340baa7d1191d1545b65133c29a9d55626bd5"),
+    "random_kb(8)": (lambda: random_kb(8),
+                     "8a37b5633a905f919d227bfeb15f6be5bc028222d76086bc2db119babfec7fc1"),
+    "random_kb(9)": (lambda: random_kb(9),
+                     "c760ea390ec2b9676da8b22e497ca4631c1247948226fffec611b9e9d492ff5e"),
+}
+
+
+@pytest.mark.parametrize("call", SYNTH_SHA256)
+def test_synth_kbs_are_pinned(call):
+    build, digest = SYNTH_SHA256[call]
+    assert _kb_sha256(build()) == digest

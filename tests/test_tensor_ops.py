@@ -1,4 +1,6 @@
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +246,18 @@ class TestAffineTanhPinv:
         # minimum-norm: no shorter preimage exists among perturbations in
         # the null space direction of the residual x - pre
         assert np.linalg.norm(pre) <= np.linalg.norm(x) + 1e-9
+
+    def test_rank_deficient_float32_map_warns_with_finite_condition(self, caplog):
+        w = np.eye(3, dtype=np.float32)
+        w[1] = 0.0
+        m = AffineMap(w, np.zeros(3, np.float32))
+        with warnings.catch_warnings(), \
+                caplog.at_level(logging.WARNING, logger="twoview.tensor_ops"):
+            warnings.simplefilter("error", RuntimeWarning)
+            pre = affine_tanh_pinv(m, np.full((2, 3), 0.5, np.float32))
+        assert pre.shape == (2, 3) and pre[:, 1].tolist() == [0.0, 0.0]
+        (msg,) = [r.getMessage() for r in caplog.records]
+        assert "rank-deficient" in msg and "inf" not in msg
 
     def test_bad_delta_rejected(self):
         m = AffineMap(np.eye(2), np.zeros(2))

@@ -373,7 +373,6 @@ class TestTrain:
         assert history[-1].n_cross == len(data.links_train)
 
 
-@pytest.mark.slow
 def test_moving_average_loss_trend_all_variants():
     """Smoothed total loss trends downward for every variant at default
     hyperparameters (up to resampled-negative noise of a few percent)."""
