@@ -12,6 +12,7 @@ was trained on.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -20,8 +21,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError
 from .kb import Vocab
-from .model import CrossKind, ModelConfig, ModelParams
-from .tensor_ops import AffineMap
+from .model import ModelConfig, ModelParams
 
 MAGIC = b"TVKB0001"
 FORMAT_VERSION = 1
@@ -53,20 +53,8 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
     replaces ``path`` in one rename, so a write that fails part-way leaves
     any earlier checkpoint at ``path`` intact.
     """
-    block_meta = []
-    offset = 0
-    payloads = []
-    for name, arr in params.blocks():
-        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        block_meta.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": "<f4",
-            "offset": offset,
-            "nbytes": len(data),
-        })
-        payloads.append(data)
-        offset += len(data)
+    blocks = params.blocks()
+    block_meta, payload_nbytes = _block_table((name, a.shape) for name, a in blocks)
     header = {
         "format_version": FORMAT_VERSION,
         "variant": config.variant,
@@ -78,7 +66,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
         "seed": seed,
         "epoch": epoch,
         "blocks": block_meta,
-        "payload_nbytes": offset,
+        "payload_nbytes": payload_nbytes,
     }
     header_bytes = json.dumps(header, sort_keys=True,
                               separators=(",", ":")).encode("utf-8")
@@ -89,8 +77,8 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
             fh.write(MAGIC)
             fh.write(struct.pack("<Q", len(header_bytes)))
             fh.write(header_bytes)
-            for data in payloads:
-                fh.write(data)
+            for _, arr in blocks:
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -130,35 +118,35 @@ def _decode(header_bytes: bytes, payload: bytes, path):
             f"{header['payload_nbytes']}")
     config = ModelConfig.from_variant(header["variant"], header["d_e"],
                                       header["d_c"])
-    d_e, d_c, sizes = config.d_e, config.d_c, header["vocab_sizes"]
-    want = [(name, [sizes[name], d]) for name, d in
-            zip(ModelParams.TABLES, (d_e, d_e, d_c, d_c))]
-    if config.cross == CrossKind.TRANSFORMATION:
-        want += [("ct_W", [d_c, d_e]), ("ct_b", [d_c])]
-    if config.hierarchy_aware:
-        want += [("ha_W", [d_c, d_c]), ("ha_b", [d_c])]
-    want = [(name, shape, "<f4") for name, shape in want]
-    got = [(meta["name"], meta["shape"], meta["dtype"]) for meta in header["blocks"]]
-    if got != want:
+    sizes = header["vocab_sizes"]
+    if not all(isinstance(sizes[t], int) and sizes[t] >= 0 for t in ModelParams.TABLES):
+        raise CheckpointError(f"{path}: vocabulary sizes {sizes} are not all counts")
+    want, nbytes = _block_table(ModelParams.layout(config, sizes))
+    if header["blocks"] != want or nbytes != len(payload):
         raise CheckpointError(
-            f"{path}: header declares blocks {got}; {config.variant} with "
-            f"d_e={d_e}, d_c={d_c} and these vocabulary sizes needs {want}")
-    arrays = {}
-    for meta in header["blocks"]:
-        start, n = meta["offset"], meta["nbytes"]
-        arr = np.frombuffer(payload[start:start + n], dtype=meta["dtype"])
-        expected = int(np.prod(meta["shape"])) if meta["shape"] else 1
-        if arr.size != expected:
-            raise CheckpointError(
-                f"{path}: block {meta['name']!r} has {arr.size} values, "
-                f"shape {meta['shape']} needs {expected}")
+            f"{path}: header declares blocks {header['blocks']}; {config.variant} "
+            f"with d_e={config.d_e}, d_c={config.d_c} and these vocabulary sizes "
+            f"needs {want}, {nbytes} bytes in all")
+    arrays = []
+    for meta in want:
+        start, name = meta["offset"], meta["name"]
+        arr = np.frombuffer(payload[start:start + meta["nbytes"]], dtype="<f4")
         if not np.isfinite(arr).all():
-            raise CheckpointError(
-                f"{path}: block {meta['name']!r} holds non-finite values")
-        arrays[meta["name"]] = arr.reshape(meta["shape"]).copy()
-    maps = {f"{m}_map": AffineMap(arrays.pop(f"{m}_W"), arrays.pop(f"{m}_b"))
-            for m in ("ct", "ha") if f"{m}_W" in arrays}
-    return ModelParams(**arrays, **maps), config, header
+            raise CheckpointError(f"{path}: block {name!r} holds non-finite values")
+        arrays.append((name, arr.reshape(meta["shape"]).copy()))
+    return ModelParams.from_blocks(arrays), config, header
+
+
+def _block_table(layout) -> tuple[list[dict], int]:
+    """The header entries of (name, shape) blocks stored back to back as
+    little-endian float32, in order, and the payload size they add up to."""
+    table, offset = [], 0
+    for name, shape in layout:
+        nbytes = 4 * math.prod(shape)
+        table.append({"name": name, "shape": list(shape), "dtype": "<f4",
+                      "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    return table, offset
 
 
 def check_vocab_hashes(header: dict, vocabs: dict[str, Vocab]) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, TwoViewError
-from .kb import (KnowledgeBase, SplitSpec, Vocab, dataset_stats,
+from .kb import (KnowledgeBase, SplitSpec, Vocab, _bad_byte_line, dataset_stats,
                  extract_hierarchy, parse_hierarchy, parse_links, parse_triples,
                  split_links, split_triples, write_tsv)
 from .training import SplitDataset
@@ -95,7 +95,11 @@ def _read_vocab(path: Path) -> Vocab:
     error: it would shift the id of every later name."""
     try:
         names = path.read_text(encoding="utf-8").split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        line = _bad_byte_line(path)
+        raise TwoViewError(f"cannot read vocabulary file {path}: line {line} "
+                           f"is not UTF-8 ({exc.reason})") from None
+    except OSError as exc:
         raise TwoViewError(f"cannot read vocabulary file {path}: {exc}") from None
     if names[-1] == "":
         names.pop()

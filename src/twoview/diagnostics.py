@@ -59,33 +59,27 @@ def params_to_vector(params: ModelParams) -> np.ndarray:
 def vector_to_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
     """``template``'s parameters as views of the blocks of ``vec``."""
     views, pos = [], 0
-    for _, a in template.blocks():
-        views.append(vec[pos:pos + a.size].reshape(a.shape))
+    for name, a in template.blocks():
+        views.append((name, vec[pos:pos + a.size].reshape(a.shape)))
         pos += a.size
-    maps = iter(views[len(ModelParams.TABLES):])
-    return ModelParams(*views[:len(ModelParams.TABLES)], **{
-        attr: AffineMap(next(maps), next(maps)) for attr in ("ct_map", "ha_map")
-        if getattr(template, attr) is not None})
+    return ModelParams.from_blocks(views)
 
 
 def grads_to_vector(grads: GradAccum, template: ModelParams) -> np.ndarray:
     parts = []
-    for name in ModelParams.TABLES:
-        dense = np.zeros_like(template.table(name), dtype=np.float64)
+    for name, a in template.blocks():
+        dense = np.zeros(a.shape)
         if name in grads.blocks:
             ids, g = grads.blocks[name]
             dense[ids] = g
+        elif name[:-2] in grads.maps:
+            dense[...] = grads.maps[name[:-2]]["Wb".index(name[-1])]
         parts.append(dense.ravel())
-    for name, m in (("ct", template.ct_map), ("ha", template.ha_map)):
-        if m is not None:
-            dW, db = grads.maps.get(name, (np.zeros_like(m.W), np.zeros_like(m.b)))
-            parts += [np.ravel(dW), np.ravel(db)]
     return np.concatenate(parts)
 
 
 def _random_params(rng: np.random.Generator, n_e=6, n_r=4, n_c=6, n_m=4,
-                   d_e=8, d_c=8, with_ct=False, with_ha=False,
-                   ct_d_in=None) -> ModelParams:
+                   d_e=8, d_c=8, with_ct=False, with_ha=False) -> ModelParams:
     """Unit-scale random parameters: keeps losses O(1) so the floating-point
     noise floor of the finite-difference quotient stays far below the gate."""
 
@@ -95,8 +89,7 @@ def _random_params(rng: np.random.Generator, n_e=6, n_r=4, n_c=6, n_m=4,
 
     ct_map = None
     if with_ct:
-        d_in = ct_d_in or d_e
-        ct_map = AffineMap(rng.normal(size=(d_c, d_in)) / np.sqrt(d_in),
+        ct_map = AffineMap(rng.normal(size=(d_c, d_e)) / np.sqrt(d_e),
                            rng.normal(size=d_c) * 0.1)
     ha_map = None
     if with_ha:

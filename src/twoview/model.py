@@ -133,35 +133,41 @@ class ModelParams:
         return out
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            entities=self.entities.copy(),
-            relations=self.relations.copy(),
-            concepts=self.concepts.copy(),
-            meta_relations=self.meta_relations.copy(),
-            ct_map=None if self.ct_map is None else AffineMap(
-                self.ct_map.W.copy(), self.ct_map.b.copy()),
-            ha_map=None if self.ha_map is None else AffineMap(
-                self.ha_map.W.copy(), self.ha_map.b.copy()),
-        )
+        return ModelParams.from_blocks((name, a.copy()) for name, a in self.blocks())
+
+    @classmethod
+    def layout(cls, config: ModelConfig,
+               rows: dict[str, int]) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of every trainable array of ``config``, in ``blocks()``
+        order; ``rows`` maps each table name to its number of rows."""
+        d_e, d_c = config.d_e, config.d_c
+        out = [(name, (rows[name], d))
+               for name, d in zip(cls.TABLES, (d_e, d_e, d_c, d_c))]
+        if config.cross == CrossKind.TRANSFORMATION:
+            out += [("ct_W", (d_c, d_e)), ("ct_b", (d_c,))]
+        if config.hierarchy_aware:
+            out += [("ha_W", (d_c, d_c)), ("ha_b", (d_c,))]
+        return out
+
+    @classmethod
+    def from_blocks(cls, pairs) -> "ModelParams":
+        """Parameters from (name, array) pairs named as ``blocks()`` names them."""
+        arrays = dict(pairs)
+        maps = {f"{m}_map": AffineMap(arrays.pop(f"{m}_W"), arrays.pop(f"{m}_b"))
+                for m in ("ct", "ha") if f"{m}_W" in arrays}
+        return cls(**arrays, **maps)
 
     @classmethod
     def init(cls, config: ModelConfig, n_entities: int, n_relations: int,
              n_concepts: int, n_meta: int, rng: np.random.Generator,
              dtype=np.float32) -> "ModelParams":
-        """Fresh parameters: unit-sphere vectors, orthogonal weights, zero biases."""
-        ct_map = None
-        if config.cross == CrossKind.TRANSFORMATION:
-            ct_map = AffineMap(init_orthogonal(config.d_c, config.d_e, rng, dtype),
-                               np.zeros(config.d_c, dtype=dtype))
-        ha_map = None
-        if config.hierarchy_aware:
-            ha_map = AffineMap(init_orthogonal(config.d_c, config.d_c, rng, dtype),
-                               np.zeros(config.d_c, dtype=dtype))
-        return cls(
-            entities=init_unit_sphere(n_entities, config.d_e, rng, dtype),
-            relations=init_unit_sphere(n_relations, config.d_e, rng, dtype),
-            concepts=init_unit_sphere(n_concepts, config.d_c, rng, dtype),
-            meta_relations=init_unit_sphere(n_meta, config.d_c, rng, dtype),
-            ct_map=ct_map,
-            ha_map=ha_map,
-        )
+        """Fresh parameters: unit-sphere vectors, orthogonal weights, zero
+        biases.  The weights are drawn first (CT before HA), then the tables."""
+        layout = cls.layout(config, dict(zip(
+            cls.TABLES, (n_entities, n_relations, n_concepts, n_meta))))
+        drawn = {name: init_orthogonal(*shape, rng, dtype)
+                 for name, shape in layout if name.endswith("_W")}
+        drawn.update((name, init_unit_sphere(*shape, rng, dtype))
+                     for name, shape in layout if name in cls.TABLES)
+        return cls.from_blocks((name, drawn.get(name, np.zeros(shape, dtype)))
+                               for name, shape in layout)

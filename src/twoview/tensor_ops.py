@@ -136,27 +136,32 @@ def affine_tanh(m: AffineMap, x: np.ndarray) -> np.ndarray:
     return np.clip(out, np.nextafter(-one, one), np.nextafter(one, -one))
 
 
-def affine_tanh_pinv(m: AffineMap, y: np.ndarray, clamp_delta: float = 1e-6) -> np.ndarray:
+# artanh's input is clipped to [-1 + PINV_CLAMP, 1 - PINV_CLAMP]
+PINV_CLAMP = 1e-6
+
+
+def affine_tanh_pinv(m: AffineMap, y: np.ndarray) -> np.ndarray:
     """Minimum-norm preimage of the tanh-affine map; accepts a single target
     or a (n, d_out) batch.
 
-    Returns ``pinv(W) @ (artanh(clip(y, -1+delta, 1-delta)) - b)``.  For
-    well-conditioned W this is a left inverse on the row space.  A
-    rank-deficient W is logged once per call, with its condition number
-    computed in 64-bit.
+    Returns ``pinv(W) @ (artanh(clip(y, -1+delta, 1-delta)) - b)`` with
+    delta = ``PINV_CLAMP``.  For well-conditioned W this is a left inverse
+    on the row space.  One 64-bit SVD of W gives both the pseudo-inverse,
+    with ``np.linalg.pinv``'s cutoff (singular values at most 1e-15 times
+    the largest count as zero), and the condition number: a rank-deficient
+    W is logged once per call.
     """
     y = np.asarray(y)
-    if not 0.0 < clamp_delta <= 0.1:
-        raise TwoViewError(f"clamp delta must be in (0, 0.1], got {clamp_delta}")
     if y.shape[-1] != m.d_out:
         raise TwoViewError(
             f"target dim {y.shape[-1]} does not match map output dim {m.d_out}")
-    w_pinv = np.linalg.pinv(m.W)
-    sv = np.linalg.svd(np.asarray(m.W, np.float64), compute_uv=False)
+    u, sv, vt = np.linalg.svd(np.asarray(m.W, np.float64), full_matrices=False)
     if sv[-1] < 1e-10 * sv[0]:
         log.warning("pseudo-inverting a rank-deficient map "
                     "(condition number %.3g)", sv[0] / max(sv[-1], 1e-300))
-    z = np.arctanh(np.clip(y, -1.0 + clamp_delta, 1.0 - clamp_delta))
+    sv_inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > 1e-15 * sv.max())
+    w_pinv = (vt.T @ (sv_inv[:, None] * u.T)).astype(m.W.dtype, copy=False)
+    z = np.arctanh(np.clip(y, -1.0 + PINV_CLAMP, 1.0 - PINV_CLAMP))
     return (z - m.b) @ w_pinv.T
 
 

@@ -49,21 +49,15 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class OptimizerState:
-    """Per-parameter AMSGrad accumulators (first/second moment and the
-    running max of the second moment)."""
+    """AMSGrad accumulators (first/second moment and the running max of the
+    second moment) of every parameter block, keyed by its ``blocks()`` name."""
 
-    tables: dict[str, _Moments]
-    maps: dict[str, tuple[_Moments, _Moments]]
+    moments: dict[str, _Moments]
     step: int = 0
 
     @classmethod
     def init(cls, params: ModelParams) -> "OptimizerState":
-        tables = {name: _Moments.like(params.table(name))
-                  for name in ModelParams.TABLES}
-        maps = {name: (_Moments.like(m.W), _Moments.like(m.b))
-                for name, m in (("ct", params.ct_map), ("ha", params.ha_map))
-                if m is not None}
-        return cls(tables=tables, maps=maps)
+        return cls({name: _Moments.like(arr) for name, arr in params.blocks()})
 
 
 # rows of these tables are projected back to the unit sphere after each step
@@ -74,33 +68,29 @@ def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
                  rate: float) -> None:
     """One sparse AMSGrad update followed by unit-norm projection.
 
-    Each table's gradient block (distinct row ids, summed rows) is applied
-    as it is.  Only coordinates with a gradient entry are touched: m <-
-    b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2, vhat <- max(vhat, v), theta <-
-    theta - rate * m / (sqrt(vhat) + eps).  Touched entity/concept rows are
-    then projected back to unit norm; everything else is left bitwise
-    unchanged.
+    Each table's gradient block (distinct row ids, summed rows) and each
+    map's W and b gradients are applied as they are.  Only coordinates with
+    a gradient entry are touched: m <- b1*m + (1-b1)*g, v <- b2*v +
+    (1-b2)*g^2, vhat <- max(vhat, v), theta <- theta - rate * m /
+    (sqrt(vhat) + eps).  Touched entity/concept rows are then projected back
+    to unit norm; everything else is left bitwise unchanged.
     """
-    blocks = [(table, ids, g.astype(params.table(table).dtype, copy=False))
-              for table, (ids, g) in grads.blocks.items()]
-    for table, ids, g in blocks:
-        finite = np.isfinite(g).all(axis=1)
+    arrays = dict(params.blocks())
+    steps = [(name, ids, g) for name, (ids, g) in grads.blocks.items()]
+    steps += [(f"{name}_{part}", ..., g) for name, pair in grads.maps.items()
+              for part, g in zip("Wb", pair)]
+    steps = [(name, idx, g.astype(arrays[name].dtype, copy=False))
+             for name, idx, g in steps]
+    for name, idx, g in steps:
+        finite = np.isfinite(g).all(axis=-1)
         if not finite.all():
-            raise TwoViewError(f"non-finite gradient for {table} row "
-                               f"{ids[np.argmin(finite)]}")
-    for name, (dW, db) in grads.maps.items():
-        if not (np.isfinite(dW).all() and np.isfinite(db).all()):
-            raise TwoViewError(f"non-finite gradient for affine map {name!r}")
-
-    for table, idx, g in blocks:
-        arr = params.table(table)
-        _amsgrad(arr, state.tables[table], idx, g, rate)
-        if table in _NORM_CONSTRAINED:
-            project_rows_unit_norm(arr, idx)
-    for name, (dW, db) in grads.maps.items():
-        amap = params.map(name)
-        for mom, arr, g in zip(state.maps[name], (amap.W, amap.b), (dW, db)):
-            _amsgrad(arr, mom, ..., g.astype(arr.dtype, copy=False), rate)
+            raise TwoViewError(
+                f"non-finite gradient for affine map {name[:-2]!r}" if idx is ...
+                else f"non-finite gradient for {name} row {idx[np.argmin(finite)]}")
+    for name, idx, g in steps:
+        _amsgrad(arrays[name], state.moments[name], idx, g, rate)
+        if name in _NORM_CONSTRAINED:
+            project_rows_unit_norm(arrays[name], idx)
     state.step += 1
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -126,6 +127,25 @@ def _with_block(name, **changes):
     return case
 
 
+def _relations_declared(rows):
+    """A case whose header declares ``rows`` relations throughout: vocabulary
+    size, block shape, offsets, byte sizes and payload length agree."""
+    def case(good):
+        (header_len,) = struct.unpack("<Q", good[8:16])
+        header = json.loads(good[16:16 + header_len])
+        header["vocab_sizes"]["relations"] = rows
+        offset = 0
+        for block in header["blocks"]:
+            if block["name"] == "relations":
+                block["shape"] = [rows, 6]
+            block["offset"], block["nbytes"] = offset, 4 * math.prod(block["shape"])
+            offset += block["nbytes"]
+        header["payload_nbytes"] = offset
+        text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        return _framed(text.encode()) + good[16 + header_len:][:offset]
+    return case
+
+
 # each case turns the bytes of a valid checkpoint (HATransE-CT, d_e=6,
 # d_c=4) into a malformed file
 MALFORMED = {
@@ -138,6 +158,9 @@ MALFORMED = {
     "entities-declared-10x3": _with_block("entities", shape=[10, 3]),
     "ct_W-declared-transposed": _with_block("ct_W", shape=[6, 4]),
     "ct_b-declared-int32": _with_block("ct_b", dtype="<i4"),
+    "ct_b-offset-0": _with_block("ct_b", offset=0),
+    "relations-offset-0": _with_block("relations", offset=0),
+    "minus-one-relations": _relations_declared(-1),
     "nan-in-payload": lambda good: good[:-4] + struct.pack("<f", float("nan")),
 }
 

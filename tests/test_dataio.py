@@ -40,19 +40,28 @@ def test_load_missing_dir_rejected(tmp_path):
 
 @pytest.mark.parametrize("fname, damage", [
     ("links_test.tsv", "delete"), ("instance_train.tsv", "0xff"),
-    ("entities.txt", "0xff"), ("concepts.txt", "delete")])
+    ("entities.txt", "0xff"), ("concepts.txt", "delete"), ("relations.txt", 3),
+    ("instance_valid.tsv", 3)])
 def test_unreadable_split_file_named(tmp_path, fname, damage):
+    """A missing or non-UTF-8 file is named; a 0xff byte put at the end of
+    line ``damage`` (an int) is reported on that line."""
     kb, _ = planted_kb()
     write_split_dir(prepare_splits(kb, SplitSpec(seed=7)), tmp_path, kb)
     path = tmp_path / fname
     if damage == "delete":
         path.unlink()
-    else:
+    elif damage == "0xff":
         raw = path.read_bytes()
         path.write_bytes(raw[:40] + b"\xff" + raw[40:])
+    else:
+        lines = path.read_bytes().split(b"\n")
+        lines[damage - 1] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
     with pytest.raises(TwoViewError) as exc:
         load_split_dir(tmp_path)
     assert str(path) in str(exc.value)
+    if isinstance(damage, int):
+        assert f"line {damage} is not UTF-8" in str(exc.value)
 
 
 def test_eval_settings_validation():

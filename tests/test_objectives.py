@@ -524,15 +524,9 @@ def test_batched_epoch_matches_per_pair_losses(variant, sampled, monkeypatch):
 
 def _state_digests(params, state):
     """SHA-256 of every parameter and AMSGrad moment array, by name."""
-    arrays = {}
-    for name, mom in state.tables.items():
-        arrays[name] = params.table(name)
+    arrays = dict(params.blocks())
+    for name, mom in state.moments.items():
         arrays.update({f"{name}.{k}": a for k, a in vars(mom).items()})
-    for name, moms in state.maps.items():
-        amap = params.map(name)
-        for part, arr, mom in zip("Wb", (amap.W, amap.b), moms):
-            arrays[f"{name}.{part}"] = arr
-            arrays.update({f"{name}.{part}.{k}": a for k, a in vars(mom).items()})
     return {k: hashlib.sha256(a.tobytes()).hexdigest() for k, a in arrays.items()}
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from twoview.dataio import prepare_splits
 from twoview.errors import ConfigError, TwoViewError
 from twoview.evaluation import triple_completion_eval
 from twoview.kb import SplitSpec, Triple, extract_hierarchy
-from twoview.model import ModelConfig, ModelParams
+from twoview.model import ModelConfig, ModelParams, all_variants
 from twoview.objectives import GradAccum, LossWeights, Margins
 from twoview.scoring import ScorerKind
 from twoview.synth import planted_kb
@@ -21,6 +23,37 @@ def small_params(seed=0, with_ct=True, dtype=np.float32):
     config = ModelConfig(intra=ScorerKind.TRANSLATIONAL, cross="CT",
                          hierarchy_aware=False, d_e=6, d_c=4)
     return ModelParams.init(config, 8, 3, 5, 2, rng, dtype=dtype)
+
+
+# SHA-256 over the name and bytes of every block of a seed-2024 init; the
+# draws do not depend on the intra-view scorer
+_INIT_SHA256 = {
+    "CG": "9d5a638e450cb27c1c54a43ecc72d3f4740f5e4fb4f05b1ddde25fa95f363793",
+    "CT": "a1732f2e6808ffe1b771b3c200b2a4acff1056848be7e097c1da28745cfd82fb",
+    "HA": "99e9b09dc7f4a0a2a4782649ca44a5643bca8c381293ae2f9981580de82c6e4c",
+}
+
+
+@pytest.mark.parametrize("variant", all_variants())
+def test_init_follows_the_layout(variant):
+    """``init`` draws the same bytes in the same order, its blocks have the
+    layout's names and shapes, ``from_blocks`` rebuilds them and the
+    optimizer keeps one set of moments per block."""
+    config = ModelConfig.from_variant(variant, 6, 6 if "CG" in variant else 4)
+    params = ModelParams.init(config, 5, 3, 4, 2, np.random.default_rng(2024))
+    blocks = params.blocks()
+    digest = hashlib.sha256()
+    for name, arr in blocks:
+        digest.update(name.encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == _INIT_SHA256[variant[:2] if "HA" in variant
+                                              else variant[-2:]]
+    rows = dict(zip(ModelParams.TABLES, (5, 3, 4, 2)))
+    assert ModelParams.layout(config, rows) == [(n, a.shape) for n, a in blocks]
+    again = ModelParams.from_blocks(blocks).blocks()
+    assert [n for n, _ in again] == [n for n, _ in blocks]
+    assert all(a is b for (_, a), (_, b) in zip(again, blocks))
+    assert list(OptimizerState.init(params).moments) == [n for n, _ in blocks]
 
 
 class TestAmsgradStep:
@@ -62,13 +95,13 @@ class TestAmsgradStep:
             grads = GradAccum()
             grads.add_rows("relations", [0], g.copy()[None])
             amsgrad_step(params, state, grads, 0.001)
-        vhat_before = state.tables["relations"].vhat[0, 0].copy()
+        vhat_before = state.moments["relations"].vhat[0, 0].copy()
         g[0] = 0.1
         grads = GradAccum()
         grads.add_rows("relations", [0], g.copy()[None])
         amsgrad_step(params, state, grads, 0.001)
-        assert state.tables["relations"].vhat[0, 0] == vhat_before
-        assert state.tables["relations"].v[0, 0] < vhat_before
+        assert state.moments["relations"].vhat[0, 0] == vhat_before
+        assert state.moments["relations"].v[0, 0] < vhat_before
 
     def test_untouched_rows_bitwise_unchanged(self):
         params = small_params()
@@ -127,7 +160,7 @@ class TestAmsgradStep:
             amsgrad_step(params, state, grads, 0.01)
         assert np.array_equal(params.entities, before.entities)
         assert np.array_equal(params.relations, before.relations)
-        assert not state.tables["entities"].m.any() and state.step == 0
+        assert not state.moments["entities"].m.any() and state.step == 0
 
     def test_map_update(self):
         params = small_params()
