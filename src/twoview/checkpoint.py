@@ -118,7 +118,10 @@ def _decode(header_bytes: bytes, payload: bytes, path):
             f"{header['payload_nbytes']}")
     config = ModelConfig.from_variant(header["variant"], header["d_e"],
                                       header["d_c"])
-    sizes = header["vocab_sizes"]
+    hashes, sizes = header["vocab_hashes"], header["vocab_sizes"]
+    if not isinstance(hashes, dict) or sorted(hashes) != sorted(ModelParams.TABLES) \
+            or not all(isinstance(v, str) for v in hashes.values()):
+        raise CheckpointError(f"{path}: vocabulary hashes {hashes!r} are not one string per table")
     if not all(isinstance(sizes[t], int) and sizes[t] >= 0 for t in ModelParams.TABLES):
         raise CheckpointError(f"{path}: vocabulary sizes {sizes} are not all counts")
     want, nbytes = _block_table(ModelParams.layout(config, sizes))

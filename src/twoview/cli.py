@@ -113,9 +113,7 @@ def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
             rep = triple_completion_eval(
                 params, model.intra, getattr(data, f"{view}_test"),
                 _filter_stores(data, view, settings.filter_mode),
-                view=view, direction=settings.direction, ks=settings.ks,
-                filter_mode=settings.filter_mode)
-            rep.variant = model.variant
+                view=view, direction=settings.direction, ks=settings.ks)
             nodes, edges = (getattr(data, name) for name in VIEW_TABLES[view])
             reports.append((f"report_triples_{view}.json", rep,
                             (nodes, edges, nodes)))
@@ -124,17 +122,17 @@ def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
             _filter_stores(data, "links", settings.filter_mode)))
         if task == "typing":
             rep = entity_typing_eval(params, model, data.links_test, links,
-                                     ks=settings.ks, filter_mode=settings.filter_mode)
+                                     ks=settings.ks)
         else:
             rep = long_tail_eval(params, model, data.links_test,
                                  entity_frequency(data.instance_train),
-                                 settings.longtail_threshold, links,
-                                 ks=settings.ks, filter_mode=settings.filter_mode)
+                                 settings.longtail_threshold, links, ks=settings.ks)
         reports.append((f"report_{task}.json", rep, (data.entities, data.concepts)))
     else:
         raise TwoViewError(f"unknown eval task {task!r}")
 
     for fname, rep, vocabs in reports:
+        rep.variant, rep.filter_mode = model.variant, settings.filter_mode
         path = out / fname
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(rep.to_dict(), fh, indent=2, sort_keys=True)
@@ -270,6 +268,13 @@ def cmd_check(probes: int, seed: int, checkpoint_path: str | None = None,
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--config", required=True, help="config JSON path")
     parser.add_argument("--seed", type=int, default=None,
@@ -304,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="type <entity> | tail <head> <relation> | "
                         "meta <concept> <meta-relation> | "
                         "relquery <concept> <concept>")
-    p.add_argument("-k", type=int, default=10)
+    p.add_argument("-k", type=positive_int, default=10)
     p.add_argument("--json", action="store_true", dest="as_json")
 
     p = sub.add_parser("export", help="dump an embedding table as TSV")
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", default=None, help="output file path")
 
     p = sub.add_parser("check", help="run the gradient/diagnostic suite")
-    p.add_argument("--probes", type=int, default=100)
+    p.add_argument("--probes", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None,
                    help="optional: split dir for checkpoint hash validation")

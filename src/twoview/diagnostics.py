@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import prepare_splits
+from .errors import ConfigError
 from .kb import SplitSpec, Triple
 from .model import ModelConfig, ModelParams
 from .objectives import (GradAccum, PairBatch, TripleBatch, cg_loss, ct_loss,
@@ -279,6 +280,8 @@ class CheckResult:
 
 def run_all(n_probes: int = 100, seed: int = 0) -> list[CheckResult]:
     """Run every diagnostic, in a fixed order."""
+    if n_probes < 1:
+        raise ConfigError(f"n_probes must be at least 1, got {n_probes}")
     results = []
 
     exact = circ_correlation(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))

@@ -5,22 +5,21 @@ long-tail typing, and the two ontology-population query types.
 unfiltered candidates, resolving ties mid-rank: rank = 1 + #better +
 ceil(#tied / 2), which is deterministic and biases neither optimistically
 nor pessimistically.  ``_top_k`` lists the best candidates, ties by
-ascending id.  A block holds at most ``BLOCK_ELEMENTS`` query x candidate
-scores, from one matmul: per direction for triple completion, filtered by
-sorted integer keys; typing is the translational tail query (the entity's
-image, a zero relation, the concepts).  Translational and multiplicative
-ranks and ``top_tails`` lists equal ``rank_candidates`` over ``score``
-(``concept_distances`` for typing) exactly: the candidates within a
-rounding window are re-scored by one such call per block over gathered
-rows.  Correlational ones come from the batched scores and may be one off
-on ulp-close ties.
+ascending id.  ``_rank_block`` ranks a block of at most ``BLOCK_ELEMENTS``
+query x candidate scores from one matmul, filtered through one ``_index``:
+per direction for triple completion; typing is the translational tail
+query (the entity's image, a zero relation, the concepts).  Translational
+and multiplicative ranks and ``top_tails`` lists equal ``rank_candidates``
+over ``score`` (``concept_distances`` for typing) exactly: the candidates
+within a rounding window are re-scored by one such call per block over
+gathered rows.  Correlational ones come from the batched scores and may be
+one off on ulp-close ties.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -42,7 +41,7 @@ class EvalReport:
     hits: dict[int, float]
     n_queries: int
     variant: str = ""
-    filter_mode: str = "train"
+    filter_mode: str | None = None
     slice: dict | None = None
     ranks: list[int] | None = None
     queries: list[tuple[tuple[int | None, ...], int]] | None = None
@@ -137,11 +136,13 @@ def _outward(x: np.ndarray, dtype, toward: float) -> np.ndarray:
 
 
 def _top_k(scores: np.ndarray, k: int | None = None,
-           drop: Callable[[int], bool] = lambda c: False) -> list[int]:
-    """The ``k`` (default: all) best-scoring ids that ``drop`` keeps, best
-    first, ties by ascending id."""
-    ids = (int(c) for c in np.argsort(-scores, kind="stable"))
-    return list(islice((c for c in ids if not drop(c)), k))
+           kept: np.ndarray | None = None) -> list[int]:
+    """The ``k`` (default: all) best-scoring ids, of those the boolean mask
+    ``kept`` marks (default: all), best first, ties by ascending id."""
+    if k is not None and k < 1:
+        raise EvalError(f"k must be at least 1, got {k}")
+    ids = np.argsort(-scores, kind="stable")
+    return (ids if kept is None else ids[kept[ids]])[:k].tolist()
 
 
 def _max_norm(table: np.ndarray) -> float:
@@ -237,16 +238,10 @@ def _aggregate(task: str, ranks: list[int], ks=(1, 3, 10), **kw) -> EvalReport:
                       ranks=list(ranks), **kw)
 
 
-def _filter_keys(stores: Iterable[TripleStore], n_edges: int, n_nodes: int):
-    """(keys, values) sorted by key: h * n_edges + r -> tails and
-    r * n_nodes + t -> heads over every triple of ``stores``."""
-    h, r, t = np.concatenate([np.empty((0, 3), np.int64),
-                              *(s.rows for s in stores)]).T
-    out = []
-    for keys, values in ((h * n_edges + r, t), (r * n_nodes + t, h)):
-        order = np.argsort(keys)
-        out.append((keys[order], values[order]))
-    return out
+def _index(keys: np.ndarray, values: np.ndarray):
+    """``values`` filed under ``keys``, sorted by key as ``_lookup`` reads."""
+    order = np.argsort(keys)
+    return keys[order], values[order]
 
 
 def _lookup(index, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,13 +254,26 @@ def _lookup(index, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, values[np.arange(len(rows)) + starts]
 
 
+def _rank_block(kind: ScorerKind, heads: bool, anchor_rows: np.ndarray,
+                rel_rows: np.ndarray, table: np.ndarray, max_norm: float,
+                gold: np.ndarray, drop, exact) -> list[int]:
+    """``_rank`` of a block of queries fixing ``anchor_rows[i]`` (the head,
+    or the tail if ``heads``) and ``rel_rows[i]``, scored against every row
+    of ``table`` (row norms at most ``max_norm``) by one ``score_all_*``."""
+    fast = (score_all_heads(kind, table, rel_rows, anchor_rows) if heads
+            else score_all_tails(kind, anchor_rows, rel_rows, table))
+    width = _slack(kind, anchor_rows, rel_rows, heads, max_norm,
+                   fast[np.arange(len(gold)), gold])
+    del anchor_rows, rel_rows   # not alive while ``exact`` gathers rows
+    return _rank(fast, gold, drop, width, exact)
+
+
 def triple_completion_eval(params: ModelParams, kind: ScorerKind,
                            test: TripleStore,
                            filter_stores: Iterable[TripleStore],
                            view: str = "instance",
                            direction: str = "tail",
-                           ks=(1, 3, 10),
-                           filter_mode: str = "train") -> EvalReport:
+                           ks=(1, 3, 10)) -> EvalReport:
     """Filtered ranking over the full per-view vocabulary.
 
     For each test triple, all candidate tails are scored; candidates that
@@ -275,49 +283,36 @@ def triple_completion_eval(params: ModelParams, kind: ScorerKind,
     triples are scored in blocks of ``BLOCK_ELEMENTS // n`` rows, one
     ``score_all_tails`` and one ``score_all_heads`` call per block.
     """
-    n_nodes, n_edges = (params.table(name).shape[0] for name in VIEW_TABLES[view])
-    return _ranked_triples(params, kind, test,
-                           _filter_keys(filter_stores, n_edges, n_nodes),
-                           view, direction, ks, filter_mode)
-
-
-def _ranked_triples(params: ModelParams, kind: ScorerKind, test: TripleStore,
-                    index, view: str = "instance", direction: str = "tail",
-                    ks=(1, 3, 10), filter_mode: str = "train") -> EvalReport:
-    """``triple_completion_eval`` with the filter stores' ``_filter_keys``
-    index built beforehand, so that a caller ranking many times against the
-    same stores builds it once."""
     if len(test) == 0:
         raise EvalError("test store is empty")
     if direction not in ("tail", "both"):
         raise EvalError(f"unknown direction {direction!r}")
     nodes, edges = (params.table(name) for name in VIEW_TABLES[view])
     n_nodes, n_edges = nodes.shape[0], edges.shape[0]
-    by_hr, by_rt = index
+    fh, fr, ft = np.concatenate([np.empty((0, 3), np.int64),
+                                 *(s.rows for s in filter_stores)]).T
+    by_hr, by_rt = _index(fh * n_edges + fr, ft), _index(fr * n_nodes + ft, fh)
+    del fh, fr, ft      # the stacked filter rows are not alive while ranking
     max_norm = _max_norm(nodes)
-    sides = (False, True) if direction == "both" else (False,)
+    both = direction == "both"
     triples = test.rows
-    ranks = np.empty((len(triples), len(sides)), dtype=np.int64)
+    ranks = np.empty((len(triples), 1 + both), dtype=np.int64)
     step = max(1, BLOCK_ELEMENTS // n_nodes)
     for start in range(0, len(triples), step):
         h, r, t = triples[start:start + step].T
-        for j, heads in enumerate(sides):
-            if heads:
-                fast = score_all_heads(kind, nodes, edges[r], nodes[t])
-                gold, anchor, drop = h, t, _lookup(by_rt, r * n_nodes + t)
-                exact = lambda i, c: score(kind, nodes[c], edges[r[i]], nodes[t[i]])
-            else:
-                fast = score_all_tails(kind, nodes[h], edges[r], nodes)
-                gold, anchor, drop = t, h, _lookup(by_hr, h * n_edges + r)
-                exact = lambda i, c: score(kind, nodes[h[i]], edges[r[i]], nodes[c])
-            width = _slack(kind, nodes[anchor], edges[r], heads, max_norm,
-                           fast[np.arange(len(gold)), gold])
-            ranks[start:start + step, j] = _rank(fast, gold, drop, width, exact)
-            del fast    # one block's scores alive at a time
+        ranks[start:start + step, 0] = _rank_block(
+            kind, False, nodes[h], edges[r], nodes, max_norm, t,
+            _lookup(by_hr, h * n_edges + r),
+            lambda i, c: score(kind, nodes[h[i]], edges[r[i]], nodes[c]))
+        if both:
+            ranks[start:start + step, 1] = _rank_block(
+                kind, True, nodes[t], edges[r], nodes, max_norm, h,
+                _lookup(by_rt, r * n_nodes + t),
+                lambda i, c: score(kind, nodes[c], edges[r[i]], nodes[t[i]]))
     queries = [q for h, r, t in triples.tolist()
-               for q in (((h, r, None), t), ((None, r, t), h))[:len(sides)]]
+               for q in (((h, r, None), t), ((None, r, t), h))[:1 + both]]
     return _aggregate(f"triple_completion_{view}", ranks.ravel().tolist(), ks,
-                      filter_mode=filter_mode, queries=queries)
+                      queries=queries)
 
 
 def top_tails(params: ModelParams, kind: ScorerKind, head: int, relation: int,
@@ -335,19 +330,16 @@ def top_tails(params: ModelParams, kind: ScorerKind, head: int, relation: int,
     """
     nodes, edges = (params.table(name) for name in VIEW_TABLES[view])
     fast = score_all_tails(kind, nodes[head], edges[relation], nodes)
-    store = filter_store or ()
-
-    def drop(c):
-        return (head, relation, c) in store
-
-    listed = _top_k(fast, k, drop)
+    fh, fr, ft = (filter_store or TripleStore()).rows.T
+    kept = np.ones(len(fast), dtype=bool)
+    kept[ft[(fh == head) & (fr == relation)]] = False
+    listed = _top_k(fast, k, kept)
     width = _slack(kind, nodes[[head]], edges[[relation]], False,
                    _max_norm(nodes), fast[listed[-1:]]) if listed else None
     if width is None:
         return [(c, float(fast[c])) for c in listed]
     floor = _outward(float(fast[listed[-1]]) - width, fast.dtype, -np.inf)
-    window = np.array([c for c in np.flatnonzero(fast >= floor).tolist()
-                       if not drop(c)], dtype=np.intp)
+    window = np.flatnonzero((fast >= floor) & kept)
     exact = score(kind, nodes[np.full_like(window, head)],
                   edges[np.full_like(window, relation)], nodes[window])
     best = np.lexsort((window, -exact))[:k]
@@ -381,7 +373,7 @@ def concept_distances(params: ModelParams, config: ModelConfig, entity,
 def entity_typing_eval(params: ModelParams, config: ModelConfig,
                        test_links: CrossLinkStore,
                        train_links: CrossLinkStore | None = None,
-                       ks=(1, 3, 10), filter_mode: str = "train") -> EvalReport:
+                       ks=(1, 3, 10)) -> EvalReport:
     """One ranking query per test link.
 
     The entity's concepts in ``train_links`` (the filter links), other than
@@ -392,8 +384,7 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
     """
     if len(test_links) == 0:
         raise EvalError("test link store is empty")
-    filt = train_links.rows if train_links is not None else np.empty((0, 2), np.int64)
-    by_entity = tuple(filt[np.argsort(filt[:, 0], kind="stable")].T)   # for _lookup
+    by_entity = _index(*(train_links or CrossLinkStore()).rows.T)
     links = test_links.rows
     concepts = params.concepts
     max_norm = _max_norm(concepts)
@@ -401,37 +392,34 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
     ranks = []
     for start in range(0, len(links), step):
         ents, gold = links[start:start + step].T
-        points = _images(params, config, params.entities[ents])
-        zeros = np.zeros_like(points)
-        fast = score_all_tails(ScorerKind.TRANSLATIONAL, points, zeros, concepts)
-        width = _slack(ScorerKind.TRANSLATIONAL, points, zeros, False, max_norm,
-                       fast[np.arange(len(gold)), gold])
-        ranks += _rank(fast, gold, _lookup(by_entity, ents), width,
-                       lambda i, c: -concept_distances(params, config, ents[i], c))
-        del fast    # one block's scores alive at a time
+        ranks += _rank_block(
+            ScorerKind.TRANSLATIONAL, False,
+            _images(params, config, params.entities[ents]),
+            np.zeros((len(ents), concepts.shape[1]), concepts.dtype),
+            concepts, max_norm, gold, _lookup(by_entity, ents),
+            lambda i, c: -concept_distances(params, config, ents[i], c))
     return _aggregate("entity_typing", ranks, ks, variant=config.variant,
-                      filter_mode=filter_mode,
                       queries=[((e, None), c) for e, c in links.tolist()])
 
 
 def long_tail_eval(params: ModelParams, config: ModelConfig,
                    test_links: CrossLinkStore, freq: dict[int, int],
                    threshold: int, train_links: CrossLinkStore | None = None,
-                   ks=(1, 3, 10), filter_mode: str = "train") -> EvalReport:
+                   ks=(1, 3, 10)) -> EvalReport:
     """Entity typing restricted to entities seen fewer than ``threshold`` times."""
     if threshold < 1:
         raise EvalError(f"long-tail threshold must be >= 1, got {threshold}")
-    kept = [(e, c) for e, c in test_links if freq.get(e, 0) < threshold]
-    if not kept:
+    rows = test_links.rows
+    kept = rows[[freq.get(e, 0) < threshold for e in rows[:, 0].tolist()]]
+    if not len(kept):
         raise EvalError(
             f"long-tail slice at threshold {threshold} contains no test links")
-    report = entity_typing_eval(params, config, CrossLinkStore(kept), train_links,
-                                ks, filter_mode)
+    report = entity_typing_eval(params, config, CrossLinkStore(kept), train_links, ks)
     report.task = "long_tail_typing"
     report.slice = {
         "threshold": threshold,
         "n_queries": len(kept),
-        "n_entities": len({e for e, _ in kept}),
+        "n_entities": len(np.unique(kept[:, 0])),
     }
     return report
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TwoViewError
+from .evaluation import triple_completion_eval
 from .kb import (CrossLinkStore, HierarchyStore, TripleStore, Vocab,
                  extract_hierarchy)
 from .model import CrossKind, ModelConfig, ModelParams
@@ -309,10 +310,6 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     stats: dict = {}
 
     early_stop = config.early_stop_patience and len(data.instance_valid)
-    if early_stop:
-        from .evaluation import _filter_keys, _ranked_triples
-        index = _filter_keys([data.instance_train], len(data.relations),
-                             len(data.entities))
     best_mrr, best_params, stale = -1.0, None, 0
     for epoch in range(config.epochs):
         try:
@@ -326,8 +323,8 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
         if epoch_callback is not None:
             epoch_callback(epoch, params, report)
         if early_stop:
-            rep = _ranked_triples(params, model_config.intra, data.instance_valid,
-                                  index)
+            rep = triple_completion_eval(params, model_config.intra,
+                                         data.instance_valid, [data.instance_train])
             if best_params is None or rep.mrr > best_params[0]:
                 best_params = (rep.mrr, params.copy())
             if rep.mrr > best_mrr + 1e-4:

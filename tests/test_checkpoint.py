@@ -116,15 +116,21 @@ def _framed(header: bytes) -> bytes:
     return MAGIC + struct.pack("<Q", len(header)) + header
 
 
-def _with_block(name, **changes):
-    """A case that changes block ``name``'s header entry, payload kept."""
+def _rewritten(edit):
+    """A case that applies ``edit`` to the header dict, payload kept."""
     def case(good):
         (header_len,) = struct.unpack("<Q", good[8:16])
         header = json.loads(good[16:16 + header_len])
-        next(b for b in header["blocks"] if b["name"] == name).update(changes)
+        edit(header)
         text = json.dumps(header, sort_keys=True, separators=(",", ":"))
         return _framed(text.encode()) + good[16 + header_len:]
     return case
+
+
+def _with_block(name, **changes):
+    """A case that changes block ``name``'s header entry, payload kept."""
+    return _rewritten(lambda header: next(
+        b for b in header["blocks"] if b["name"] == name).update(changes))
 
 
 def _relations_declared(rows):
@@ -162,6 +168,12 @@ MALFORMED = {
     "relations-offset-0": _with_block("relations", offset=0),
     "minus-one-relations": _relations_declared(-1),
     "nan-in-payload": lambda good: good[:-4] + struct.pack("<f", float("nan")),
+    "vocab-hashes-list": _rewritten(lambda h: h.update(vocab_hashes=[])),
+    "vocab-hashes-string": _rewritten(lambda h: h.update(vocab_hashes="x")),
+    "vocab-hashes-null": _rewritten(lambda h: h.update(vocab_hashes=None)),
+    "vocab-hashes-missing": _rewritten(lambda h: h.pop("vocab_hashes")),
+    "vocab-hashes-missing-table": _rewritten(lambda h: h["vocab_hashes"].pop("concepts")),
+    "vocab-hash-not-string": _rewritten(lambda h: h["vocab_hashes"].update(concepts=2)),
 }
 
 

@@ -221,6 +221,49 @@ def test_typing_filter_mode_is_the_filter_applied(workspace, tmp_path, capsys):
         assert none != train and train != strict
 
 
+def test_triples_filter_mode_is_the_filter_applied(workspace, tmp_path, capsys):
+    """Triple reports name the filter their ranks used; strict filters the
+    train, valid and test triples, so no rank is worse than with none."""
+    root, cfg_path, config, _ = workspace
+    ckpt = Path(config["output_dir"]) / "checkpoint.ckpt"
+    ranks = {}
+    for mode in ("none", "strict"):
+        cfg = json.loads(Path(cfg_path).read_text())
+        cfg["eval"].update(filter_mode=mode, direction="both")
+        cfg["output_dir"] = str(tmp_path / mode)
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["eval", "--config", str(path), "--checkpoint", str(ckpt),
+                     "--task", "triples", "--dump-ranks"]) == 0
+        for view in ("instance", "ontology"):
+            out = tmp_path / mode
+            report = json.loads((out / f"report_triples_{view}.json").read_text())
+            assert report["filter_mode"] == mode
+            ranks[mode, view] = [int(line.split("\t")[2]) for line in
+                                 (out / f"ranks_triples_{view}.tsv").read_text().splitlines()]
+    capsys.readouterr()
+    for view in ("instance", "ontology"):
+        none, strict = ranks["none", view], ranks["strict", view]
+        assert len(none) == len(strict)
+        assert all(a >= b for a, b in zip(none, strict))
+    assert ranks["none", "instance"] != ranks["strict", "instance"]
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("query", [["type", "e00_0"], ["tail", "e00_0", "r0"],
+                                   ["meta", "concept00", "m0"],
+                                   ["relquery", "concept00", "concept01"]],
+                         ids=lambda q: q[0])
+def test_predict_k_below_one_is_a_usage_error(tmp_path, capsys, query, k):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--config", str(tmp_path / "c.json"), "--checkpoint",
+              str(tmp_path / "c.ckpt"), *query, "-k", k])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument -k: must be at least 1, got {k}" in err
+    assert "Traceback" not in err
+
+
 def test_eval_refuses_wrong_dataset(workspace, tmp_path, capsys):
     root, cfg_path, config, _ = workspace
     ckpt = Path(config["output_dir"]) / "checkpoint.ckpt"
@@ -388,6 +431,18 @@ def test_check_command_passes(capsys):
     assert main(["check", "--probes", "3", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_check_without_probes_is_a_usage_error(capsys, probes):
+    """A check that probes nothing cannot pass."""
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--probes", probes])
+    assert exc.value.code == 2
+    assert f"argument --probes: must be at least 1, got {probes}" in capsys.readouterr().err
+    from twoview import diagnostics
+    with pytest.raises(ConfigError, match="n_probes must be at least 1"):
+        diagnostics.run_all(n_probes=int(probes))
 
 
 def test_check_command_audits_checkpoint(workspace, capsys):

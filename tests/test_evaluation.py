@@ -681,7 +681,33 @@ class TestPopulateTripleQuery:
         assert best not in [c for c, _ in filtered]
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected(k):
+    """A list of fewer than one candidate is an error, not a slice that
+    drops the last candidates."""
+    config, params = random_model(variant="TransE-CT", seed=14)
+    for query in (lambda: top_tails(params, config.intra, 0, 0, k),
+                  lambda: populate_triple_query(params, config, 0, 0, k),
+                  lambda: populate_relation_query(params, config, 0, 1, k)):
+        with pytest.raises(EvalError, match="k must be at least 1"):
+            query()
+
+
 class TestEvalReport:
+    def test_library_reports_leave_filter_mode_unset(self):
+        """Only the caller that picks the filter stores can name them."""
+        kb = random_kb(seed=8)
+        config, params = random_model(seed=1, n_e=len(kb.entities),
+                                      n_r=len(kb.relations), n_c=len(kb.concepts),
+                                      n_m=len(kb.meta_relations))
+        data = prepare_splits(kb, SplitSpec(seed=2))
+        reports = [
+            triple_completion_eval(params, config.intra, data.instance_test,
+                                   [data.instance_train]),
+            entity_typing_eval(params, config, data.links_test, data.links_train),
+            long_tail_eval(params, config, data.links_test, {}, 1, data.links_train)]
+        assert [rep.to_dict()["filter_mode"] for rep in reports] == [None] * 3
+
     def test_json_fields(self):
         rep = EvalReport(task="t", mrr=0.5, hits={1: 0.25, 10: 0.75},
                          n_queries=4, variant="TransE-CT")

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from twoview import evaluation, training
+from twoview import training
 from twoview.dataio import prepare_splits
 from twoview.errors import ConfigError, TwoViewError
 from twoview.evaluation import triple_completion_eval
@@ -376,17 +376,6 @@ class TestTrain:
         assert len(seen) == len(history) < 12
         assert seen[-1] < max(seen)
         assert valid_mrr(params) == max(seen)
-
-    def test_early_stop_builds_filter_index_once(self, synth_data, monkeypatch):
-        _, _, data = synth_data
-        calls = []
-        real = evaluation._filter_keys
-        monkeypatch.setattr(evaluation, "_filter_keys",
-                            lambda *args: calls.append(1) or real(*args))
-        _, history = train(data, ModelConfig.from_variant("TransE-CT", 16, 8),
-                           quick_config(epochs=5, early_stop_patience=5))
-        assert len(history) == 5
-        assert len(calls) == 1
 
     def test_no_copies_without_early_stop(self, synth_data, monkeypatch):
         _, _, data = synth_data
