@@ -9,8 +9,8 @@ modeling of fine->coarse concept pairs.
 
 from .errors import (CheckpointError, ConfigError, EvalError, ParseError,
                      TwoViewError, UnknownSymbolError)
-from .kb import (CrossLinkStore, HierarchyStore, KnowledgeBase, SplitSpec,
-                 Stats, Triple, TripleStore, Vocab, dataset_stats,
+from .kb import (CrossLinkStore, HierarchyStore, KnowledgeBase, SplitDataset,
+                 SplitSpec, Stats, Triple, TripleStore, Vocab, dataset_stats,
                  entity_frequency, extract_hierarchy, load_kb,
                  long_tail_slice, parse_links, parse_triples, split_links,
                  split_triples)
@@ -20,8 +20,8 @@ from .objectives import (GradAccum, LossWeights, Margins, PairBatch,
                          ct_loss, ha_loss, intra_hinge_loss,
                          sample_negative_concept, sample_negative_triple)
 from .scoring import ScorerKind, score, score_grads
-from .training import (EpochReport, OptimizerState, SplitDataset, TrainConfig,
-                       amsgrad_step, train, train_epoch)
+from .training import (EpochReport, OptimizerState, TrainConfig, amsgrad_step,
+                       train, train_epoch)
 from .evaluation import (EvalReport, entity_typing_eval, long_tail_eval,
                          populate_relation_query, populate_triple_query,
                          rank_candidates, triple_completion_eval,

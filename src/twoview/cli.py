@@ -20,14 +20,13 @@ from .errors import TwoViewError, UnknownSymbolError
 from .evaluation import (entity_typing_eval, long_tail_eval,
                          populate_relation_query, populate_triple_query,
                          top_tails, triple_completion_eval, typing_scores)
-from .kb import CrossLinkStore, dataset_stats, entity_frequency, load_kb
-from .model import VIEW_TABLES, ModelParams
+from .kb import VOCABS, CrossLinkStore, columns, dataset_stats, entity_frequency, load_kb
 from .training import train
 
 
 def _vocabs(data) -> dict:
     """The split's vocabulary per parameter table, as checkpoints key them."""
-    return {name: getattr(data, name) for name in ModelParams.TABLES}
+    return {name: getattr(data, name) for name in VOCABS}
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
@@ -97,8 +96,8 @@ def _filter_stores(data, view, mode):
     every split of ``view`` (links have no valid split)."""
     if mode == "none":
         return []
-    parts = ("train", "valid", "test") if mode == "strict" else ("train",)
-    return [getattr(data, f"{view}_{p}") for p in parts if hasattr(data, f"{view}_{p}")]
+    parts = dataio.PARTS[view] if mode == "strict" else ("train",)
+    return [getattr(data, f"{view}_{p}") for p in parts]
 
 
 def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
@@ -114,9 +113,7 @@ def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
                 params, model.intra, getattr(data, f"{view}_test"),
                 _filter_stores(data, view, settings.filter_mode),
                 view=view, direction=settings.direction, ks=settings.ks)
-            nodes, edges = (getattr(data, name) for name in VIEW_TABLES[view])
-            reports.append((f"report_triples_{view}.json", rep,
-                            (nodes, edges, nodes)))
+            reports.append((f"report_triples_{view}.json", rep, columns(data, view)))
     elif task in ("typing", "longtail"):
         links = CrossLinkStore(chain.from_iterable(
             _filter_stores(data, "links", settings.filter_mode)))
@@ -127,7 +124,7 @@ def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
             rep = long_tail_eval(params, model, data.links_test,
                                  entity_frequency(data.instance_train),
                                  settings.longtail_threshold, links, ks=settings.ks)
-        reports.append((f"report_{task}.json", rep, (data.entities, data.concepts)))
+        reports.append((f"report_{task}.json", rep, columns(data, "links")))
     else:
         raise TwoViewError(f"unknown eval task {task!r}")
 
@@ -177,41 +174,38 @@ def _edit_distance(a: str, b: str, limit: int) -> int:
     return prev[-1]
 
 
+_ENTITY, _CONCEPT = ("entities", "entity"), ("concepts", "concept")
+
+# kind -> the (vocabulary, label) of each name it takes, its answers' vocabulary
+# and header, and answer(params, model, data, ids, k) -> (id, value) pairs
+_QUERIES = {
+    "type": ((_ENTITY,), "concepts", ("concept", "distance"),
+             lambda params, model, data, ids, k: typing_scores(params, model, *ids)[:k]),
+    "tail": ((_ENTITY, ("relations", "relation")), "entities", ("tail", "score"),
+             lambda params, model, data, ids, k: top_tails(params, model.intra, *ids, k)),
+    "meta": ((_CONCEPT, ("meta_relations", "meta-relation")), "concepts",
+             ("concept", "score"),
+             lambda params, model, data, ids, k: populate_triple_query(
+                 params, model, *ids, k, filter_store=data.ontology_train)),
+    "relquery": ((_CONCEPT, _CONCEPT), "relations", ("relation", "distance"),
+                 lambda params, model, data, ids, k: populate_relation_query(
+                     params, model, *ids, k)),
+}
+
+
 def cmd_predict(cfg: RunConfig, checkpoint_path, query: list[str], k: int,
                 as_json: bool = False) -> int:
-    data, params, model = _load_for_eval(cfg, checkpoint_path)
     kind, *names = query
-    rows = []
-    if kind == "type":
-        (entity,) = names
-        e = _resolve(data.entities, entity, "entity")
-        rows = [(data.concepts.name(c), d) for c, d in
-                typing_scores(params, model, e)[:k]]
-        header = ("concept", "distance")
-    elif kind == "tail":
-        head, relation = names
-        h = _resolve(data.entities, head, "entity")
-        r = _resolve(data.relations, relation, "relation")
-        rows = [(data.entities.name(i), s) for i, s in
-                top_tails(params, model.intra, h, r, k)]
-        header = ("tail", "score")
-    elif kind == "meta":
-        concept, meta = names
-        c = _resolve(data.concepts, concept, "concept")
-        m = _resolve(data.meta_relations, meta, "meta-relation")
-        rows = [(data.concepts.name(i), s) for i, s in
-                populate_triple_query(params, model, c, m, k,
-                                      filter_store=data.ontology_train)]
-        header = ("concept", "score")
-    elif kind == "relquery":
-        c_head, c_tail = names
-        ch = _resolve(data.concepts, c_head, "concept")
-        ct = _resolve(data.concepts, c_tail, "concept")
-        rows = [(data.relations.name(i), d) for i, d in
-                populate_relation_query(params, model, ch, ct, k)]
-        header = ("relation", "distance")
-    else:
+    if kind not in _QUERIES:
         raise TwoViewError(f"unknown query kind {kind!r}")
+    takes, answers, header, answer = _QUERIES[kind]
+    if len(names) != len(takes):
+        raise TwoViewError(f"query {kind!r} takes {len(takes)} name(s)")
+    data, params, model = _load_for_eval(cfg, checkpoint_path)
+    ids = [_resolve(getattr(data, vocab), name, label)
+           for (vocab, label), name in zip(takes, names)]
+    rows = [(getattr(data, answers).name(i), v)
+            for i, v in answer(params, model, data, ids, k)]
 
     if as_json:
         print(json.dumps([{header[0]: n, header[1]: v} for n, v in rows],
@@ -225,14 +219,10 @@ def cmd_predict(cfg: RunConfig, checkpoint_path, query: list[str], k: int,
 def cmd_export(cfg: RunConfig, checkpoint_path, what: str,
                out_file: str | None) -> int:
     data, params, model = _load_for_eval(cfg, checkpoint_path)
-    table_of = {"entities": ("entities", data.entities),
-                "concepts": ("concepts", data.concepts),
-                "relations": ("relations", data.relations),
-                "meta": ("meta_relations", data.meta_relations)}
-    if what not in table_of:
+    table_name = "meta_relations" if what == "meta" else what
+    if table_name not in VOCABS:
         raise TwoViewError(f"unknown export target {what!r}")
-    table_name, vocab = table_of[what]
-    table = params.table(table_name)
+    vocab, table = getattr(data, table_name), params.table(table_name)
     path = Path(out_file) if out_file else Path(cfg.output_dir) / f"export_{what}.tsv"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -329,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_QUERY_ARITY = {"type": 1, "tail": 2, "meta": 2, "relquery": 2}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -347,12 +334,6 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint, args.task, args.dump_ranks)
         if args.command == "predict":
-            kind = args.query[0]
-            if kind not in _QUERY_ARITY:
-                raise TwoViewError(f"unknown query kind {kind!r}")
-            if len(args.query) != 1 + _QUERY_ARITY[kind]:
-                raise TwoViewError(
-                    f"query {kind!r} takes {_QUERY_ARITY[kind]} name(s)")
             return cmd_predict(cfg, args.checkpoint, args.query, args.k,
                                args.as_json)
         if args.command == "export":

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, TwoViewError
-from .kb import SplitSpec
+from .kb import RAW_FILES, SplitSpec
 from .model import CrossKind, ModelConfig
 from .objectives import LossWeights, Margins
 from .training import TrainConfig
@@ -81,12 +81,11 @@ class RunConfig:
     output_dir: str = "out"
 
     def require_raw_files(self) -> tuple[str, str, str]:
-        missing = [k for k, v in (("instance_triples", self.instance_triples),
-                                  ("ontology_triples", self.ontology_triples),
-                                  ("links", self.links)) if not v]
+        paths = tuple(getattr(self, key) for key in RAW_FILES.values())
+        missing = [key for key, path in zip(RAW_FILES.values(), paths) if not path]
         if missing:
             raise ConfigError(f"config dataset block is missing {missing}")
-        return self.instance_triples, self.ontology_triples, self.links
+        return paths
 
     def require_split_dir(self) -> str:
         if not self.split_dir:
@@ -213,10 +212,7 @@ def _parse(raw: dict, seed_override: int | None,
         split = replace(split, seed=seed_override)
 
     return RunConfig(
-        instance_triples=ds.get("instance_triples"),
-        ontology_triples=ds.get("ontology_triples"),
-        links=ds.get("links"),
-        split_dir=ds.get("split_dir"),
+        **{key: ds.get(key) for key in (*RAW_FILES.values(), "split_dir")},
         split=split,
         model=model,
         train=train,

@@ -1,10 +1,11 @@
 """Prepared split directories: deterministic splitting plus flat-file IO.
 
-A split directory contains the four vocabularies (one name per line, in id
-order), the six triple split files, the two link split files, the hierarchy
+A split directory holds ``<name>.txt`` per vocabulary of ``kb.VOCABS`` (one
+name per line, in id order), ``<kind>_<part>.tsv`` per store split of
+``PARTS`` in the vocabularies ``kb.COLUMNS`` gives its kind, the hierarchy
 pairs extracted from the ontology train split with prepare's hierarchical
 relations (``hierarchy.tsv``, which hierarchy-aware training checks against
-its own extraction), and a stats JSON.  Loading a directory reconstructs
+its own extraction), and ``stats.json``.  Loading a directory reconstructs
 the exact id assignment of the prepare run, which is what the checkpoint
 vocabulary hashes are computed over.
 """
@@ -12,22 +13,26 @@ vocabulary hashes are computed over.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError, TwoViewError
-from .kb import (KnowledgeBase, SplitSpec, Vocab, _bad_byte_line, dataset_stats,
-                 extract_hierarchy, parse_hierarchy, parse_links, parse_triples,
+from .kb import (VOCABS, KnowledgeBase, SplitDataset, SplitSpec, Vocab,
+                 _bad_byte_line, dataset_stats, extract_hierarchy, read_store,
                  split_links, split_triples, write_tsv)
-from .training import SplitDataset
 
-VOCAB_FILES = {
-    "entities": "entities.txt",
-    "relations": "relations.txt",
-    "concepts": "concepts.txt",
-    "meta_relations": "meta_relations.txt",
+# The parts each store kind is split into; part p of kind k is the
+# ``SplitDataset`` field ``k_p``, written to ``k_p.tsv``.
+PARTS = {
+    "instance": ("train", "valid", "test"),
+    "ontology": ("train", "valid", "test"),
+    "links": ("train", "test"),
 }
+# (kind, field name) of every split store, in ``PARTS`` order
+_FIELDS = [(kind, f"{kind}_{part}") for kind, parts in PARTS.items() for part in parts]
 
 
 def prepare_splits(kb: KnowledgeBase, spec: SplitSpec) -> SplitDataset:
@@ -36,18 +41,14 @@ def prepare_splits(kb: KnowledgeBase, spec: SplitSpec) -> SplitDataset:
     Each store gets its own SplitMix64 stream derived from the configured
     seed so the three shuffles are independent but fully reproducible.
     """
-    i_train, i_valid, i_test = split_triples(kb.instance, spec)
-    onto_spec = SplitSpec(spec.train_frac, spec.valid_frac, spec.test_frac,
-                          spec.link_train_ratio, seed=spec.seed + 1)
-    o_train, o_valid, o_test = split_triples(kb.ontology, onto_spec)
-    l_train, l_test = split_links(kb.links, spec.link_train_ratio, spec.seed + 2)
-    return SplitDataset(
-        entities=kb.entities, relations=kb.relations, concepts=kb.concepts,
-        meta_relations=kb.meta_relations,
-        instance_train=i_train, instance_valid=i_valid, instance_test=i_test,
-        ontology_train=o_train, ontology_valid=o_valid, ontology_test=o_test,
-        links_train=l_train, links_test=l_test,
-    )
+    splits = {
+        "instance": split_triples(kb.instance, spec),
+        "ontology": split_triples(kb.ontology, replace(spec, seed=spec.seed + 1)),
+        "links": split_links(kb.links, spec.link_train_ratio, spec.seed + 2),
+    }
+    return SplitDataset(**{name: getattr(kb, name) for name in VOCABS},
+                        **{f"{kind}_{part}": store for kind, parts in PARTS.items()
+                           for part, store in zip(parts, splits[kind])})
 
 
 def write_split_dir(data: SplitDataset, out_dir, kb: KnowledgeBase,
@@ -55,18 +56,14 @@ def write_split_dir(data: SplitDataset, out_dir, kb: KnowledgeBase,
     """Write a prepared split directory (byte-identical across reruns)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for attr, fname in VOCAB_FILES.items():
-        (out / fname).write_text("".join(f"{n}\n" for n in getattr(data, attr).names),
-                                 encoding="utf-8")
-    e, r, c, m = data.entities, data.relations, data.concepts, data.meta_relations
-    for view, vocabs in (("instance", (e, r, e)), ("ontology", (c, m, c)),
-                         ("links", (e, c))):
-        for part in ("train", "valid", "test"):
-            if hasattr(data, f"{view}_{part}"):
-                write_tsv(out / f"{view}_{part}.tsv", getattr(data, f"{view}_{part}"),
-                          vocabs)
-    hierarchy, _ = extract_hierarchy(data.ontology_train, hierarchical_relations or [], m)
-    write_tsv(out / "hierarchy.tsv", hierarchy, (c, c))
+    for name in VOCABS:
+        (out / f"{name}.txt").write_text(
+            "".join(f"{n}\n" for n in getattr(data, name).names), encoding="utf-8")
+    for kind, name in _FIELDS:
+        write_tsv(out / f"{name}.tsv", getattr(data, name), data, kind)
+    hierarchy, _ = extract_hierarchy(data.ontology_train, hierarchical_relations or [],
+                                     data.meta_relations, data.concepts)
+    write_tsv(out / "hierarchy.tsv", hierarchy, data, "hierarchy")
     stats = dataset_stats(kb).to_dict()
     with open(out / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
@@ -80,9 +77,10 @@ def check_hierarchy_file(split_dir, data: SplitDataset,
     ``hierarchical_relations`` extract from its ontology train split: the
     pairs hierarchy-aware training uses."""
     path = Path(split_dir) / "hierarchy.tsv"
-    written = parse_hierarchy(path, data.concepts)
+    written = read_store(path, data, "hierarchy")
     names = list(hierarchical_relations)
-    wanted, _ = extract_hierarchy(data.ontology_train, names, data.meta_relations)
+    wanted, _ = extract_hierarchy(data.ontology_train, names, data.meta_relations,
+                                  data.concepts)
     if not np.array_equal(written.rows, wanted.rows):
         raise ConfigError(
             f"{path} does not hold the {len(wanted)} hierarchy pairs that {names} "
@@ -117,19 +115,6 @@ def load_split_dir(split_dir) -> SplitDataset:
     root = Path(split_dir)
     if not root.is_dir():
         raise TwoViewError(f"split directory {root} does not exist")
-    e, r, c, m = (_read_vocab(root / fname) for fname in VOCAB_FILES.values())
-
-    def triples(name, head, rel, tail):
-        return parse_triples(root / name, head, rel, tail, grow=False)
-
-    return SplitDataset(
-        entities=e, relations=r, concepts=c, meta_relations=m,
-        instance_train=triples("instance_train.tsv", e, r, e),
-        instance_valid=triples("instance_valid.tsv", e, r, e),
-        instance_test=triples("instance_test.tsv", e, r, e),
-        ontology_train=triples("ontology_train.tsv", c, m, c),
-        ontology_valid=triples("ontology_valid.tsv", c, m, c),
-        ontology_test=triples("ontology_test.tsv", c, m, c),
-        links_train=parse_links(root / "links_train.tsv", e, c),
-        links_test=parse_links(root / "links_test.tsv", e, c),
-    )
+    held = SimpleNamespace(**{name: _read_vocab(root / f"{name}.txt") for name in VOCABS})
+    return SplitDataset(**vars(held), **{name: read_store(root / f"{name}.tsv", held, kind)
+                                         for kind, name in _FIELDS})

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from itertools import chain, repeat
+from dataclasses import dataclass, field, fields
+from itertools import chain, islice, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -31,6 +31,26 @@ from .errors import ParseError, TwoViewError, UnknownSymbolError
 from .prng import SplitMix64, fisher_yates
 
 log = logging.getLogger(__name__)
+
+
+# The four vocabularies, in the order checkpoints and split directories list them.
+VOCABS = ("entities", "relations", "concepts", "meta_relations")
+
+# The vocabulary each column of a store kind's rows is encoded in.
+COLUMNS = {
+    "instance": ("entities", "relations", "entities"),
+    "ontology": ("concepts", "meta_relations", "concepts"),
+    "links": ("entities", "concepts"),
+    "hierarchy": ("concepts", "concepts"),
+}
+
+# Each raw store's key in a config's dataset block; write_kb_files names it <key>.tsv
+RAW_FILES = {"instance": "instance_triples", "ontology": "ontology_triples", "links": "links"}
+
+
+def columns(holder, kind: str) -> tuple["Vocab", ...]:
+    """The vocabularies of ``kind``'s columns, as ``holder``'s ``VOCABS`` fields."""
+    return tuple(getattr(holder, name) for name in COLUMNS[kind])
 
 
 class Vocab:
@@ -170,17 +190,12 @@ class CrossLinkStore(_IdRows):
 
 
 class HierarchyStore(_IdRows):
-    """Deduplicated (finer concept, coarser concept) pairs."""
+    """Deduplicated (finer concept, coarser concept) pairs; ``parse_hierarchy``
+    and ``extract_hierarchy`` reject a pair of one concept with itself."""
 
     __slots__ = ()
     pairs = property(tuple, doc="Every pair in store order (a derived tuple).")
     __contains__ = _IdRows._has_pair
-
-    def __init__(self, pairs=()):
-        super().__init__(pairs)
-        same = self.rows[self.rows[:, 0] == self.rows[:, 1], 0]
-        if len(same):
-            raise TwoViewError(f"hierarchy pair with identical concepts (id {same[0]})")
 
 
 @dataclass
@@ -194,6 +209,24 @@ class KnowledgeBase:
     instance: TripleStore = field(default_factory=TripleStore)
     ontology: TripleStore = field(default_factory=TripleStore)
     links: CrossLinkStore = field(default_factory=CrossLinkStore)
+
+
+@dataclass
+class SplitDataset:
+    """Train/valid/test material plus the vocabularies they are encoded in."""
+
+    entities: Vocab
+    relations: Vocab
+    concepts: Vocab
+    meta_relations: Vocab
+    instance_train: TripleStore
+    instance_valid: TripleStore
+    instance_test: TripleStore
+    ontology_train: TripleStore
+    ontology_valid: TripleStore
+    ontology_test: TripleStore
+    links_train: CrossLinkStore
+    links_test: CrossLinkStore
 
 
 @dataclass(frozen=True)
@@ -374,13 +407,32 @@ def parse_links(path, entity_vocab: Vocab, concept_vocab: Vocab) -> CrossLinkSto
 
 def parse_hierarchy(path, concept_vocab: Vocab) -> HierarchyStore:
     """Read a 2-column TSV hierarchy file (finer, coarser) into a store; an
-    unknown concept is an error."""
-    return HierarchyStore(_read_ids(path, (concept_vocab, concept_vocab)))
+    unknown concept, or a pair of one concept with itself, is an error."""
+    ids = _read_ids(path, (concept_vocab, concept_vocab))
+    same = np.flatnonzero(ids[:, 0] == ids[:, 1])
+    if len(same):
+        with open(path, encoding="utf-8") as fh:    # the line of non-blank row same[0]
+            line = next(islice((i for i, text in enumerate(fh, 1) if text != "\n"),
+                               int(same[0]), None))
+        raise ParseError(path, line, "hierarchy pair with identical concepts "
+                         f"({concept_vocab.name(ids[same[0], 0])!r})")
+    return HierarchyStore(ids)
 
 
-def write_tsv(path, store: _IdRows, vocabs: tuple[Vocab, ...]) -> None:
-    """Write a store's rows as lines of TAB-separated names."""
-    names = [vocab.names for vocab in vocabs]
+def read_store(path, holder, kind: str, grow: bool = False) -> _IdRows:
+    """The ``kind`` store of a TSV file, its columns in ``holder``'s
+    vocabularies (see ``columns``); ``grow`` interns unseen triple names."""
+    vocabs = columns(holder, kind)
+    if kind == "links":
+        return parse_links(path, *vocabs)
+    if kind == "hierarchy":
+        return parse_hierarchy(path, vocabs[0])
+    return parse_triples(path, *vocabs, grow=grow)
+
+
+def write_tsv(path, store: _IdRows, holder, kind: str) -> None:
+    """Write a ``kind`` store's rows as lines of TAB-separated names."""
+    names = [vocab.names for vocab in columns(holder, kind)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines("\t".join(map(list.__getitem__, names, row)) + "\n"
                       for row in store.rows.tolist())
@@ -433,13 +485,15 @@ def split_links(store: CrossLinkStore, train_ratio: float,
 
 
 def extract_hierarchy(onto: TripleStore, hierarchical_relation_names: list[str],
-                      meta_vocab: Vocab) -> tuple[HierarchyStore, TripleStore]:
+                      meta_vocab: Vocab, concept_vocab: Vocab | None = None
+                      ) -> tuple[HierarchyStore, TripleStore]:
     """Pull hierarchy triples out of an ontology store.
 
     Every triple whose meta-relation name appears in the list becomes a
     (finer, coarser) pair — head is the finer concept — and the remaining
     triples form the residual store.  Pair count plus residual count always
-    equals the input count.
+    equals the input count.  Such a triple from a concept to itself is an
+    error; without ``concept_vocab`` it names the concept by its id.
     """
     unknown = [n for n in hierarchical_relation_names if n not in meta_vocab]
     if unknown:
@@ -447,6 +501,12 @@ def extract_hierarchy(onto: TripleStore, hierarchical_relation_names: list[str],
             f"hierarchical relation names not in meta-relation vocabulary: {unknown}")
     rows = onto.rows
     hier = np.isin(rows[:, 1], [meta_vocab.id(n) for n in hierarchical_relation_names])
+    loops = rows[hier & (rows[:, 0] == rows[:, 2])]
+    if len(loops):
+        c, m = loops[0, :2].tolist()
+        concept = f"id {c}" if concept_vocab is None else repr(concept_vocab.name(c))
+        raise TwoViewError(f"ontology triple {meta_vocab.name(m)!r} from concept "
+                           f"{concept} to itself: a hierarchy pair with identical concepts")
     return HierarchyStore(rows[hier][:, ::2]), TripleStore(rows[~hier])
 
 
@@ -483,27 +543,14 @@ class Stats:
     links_skipped_unknown: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "entities": self.n_entities,
-            "relations": self.n_relations,
-            "instance_triples": self.n_instance_triples,
-            "concepts": self.n_concepts,
-            "meta_relations": self.n_meta_relations,
-            "ontology_triples": self.n_ontology_triples,
-            "links": self.n_links,
-            "duplicate_triples_dropped": self.duplicate_triples_dropped,
-            "duplicate_links_dropped": self.duplicate_links_dropped,
-            "links_skipped_unknown": self.links_skipped_unknown,
-        }
+        """Every count keyed by its field name without the ``n_`` prefix."""
+        return {f.name.removeprefix("n_"): getattr(self, f.name) for f in fields(self)}
 
 
 def dataset_stats(kb: KnowledgeBase) -> Stats:
     return Stats(
-        n_entities=len(kb.entities),
-        n_relations=len(kb.relations),
+        **{f"n_{name}": len(getattr(kb, name)) for name in VOCABS},
         n_instance_triples=len(kb.instance),
-        n_concepts=len(kb.concepts),
-        n_meta_relations=len(kb.meta_relations),
         n_ontology_triples=len(kb.ontology),
         n_links=len(kb.links),
         duplicate_triples_dropped=(kb.instance.duplicates_dropped
@@ -514,8 +561,11 @@ def dataset_stats(kb: KnowledgeBase) -> Stats:
 
 
 def load_kb(instance_path, ontology_path, links_path) -> KnowledgeBase:
-    """Parse the three raw dataset files into a fresh KB, growing all vocabs."""
-    e, r, c, m = Vocab(), Vocab(), Vocab(), Vocab()
-    instance = parse_triples(instance_path, e, r, e, grow=True)
-    ontology = parse_triples(ontology_path, c, m, c, grow=True)
-    return KnowledgeBase(e, r, c, m, instance, ontology, parse_links(links_path, e, c))
+    """Parse the three raw dataset files into a fresh KB, growing all vocabs.
+    A triple file without triples, which cannot be split, is an error."""
+    kb = KnowledgeBase()
+    for kind, path in zip(RAW_FILES, (instance_path, ontology_path, links_path)):
+        setattr(kb, kind, read_store(path, kb, kind, grow=True))
+        if kind != "links" and not len(getattr(kb, kind)):
+            raise TwoViewError(f"{path} holds no {kind} triples")
+    return kb

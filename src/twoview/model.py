@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .kb import COLUMNS, VOCABS
 from .scoring import ScorerKind
 from .tensor_ops import AffineMap, init_orthogonal, init_unit_sphere
 
@@ -84,10 +85,7 @@ def all_variants() -> list[str]:
 
 
 # table pairs (node table, edge table) per view
-VIEW_TABLES = {
-    "instance": ("entities", "relations"),
-    "ontology": ("concepts", "meta_relations"),
-}
+VIEW_TABLES = {view: COLUMNS[view][:2] for view in ("instance", "ontology")}
 
 
 @dataclass
@@ -106,7 +104,7 @@ class ModelParams:
     ct_map: AffineMap | None = None
     ha_map: AffineMap | None = None
 
-    TABLES = ("entities", "relations", "concepts", "meta_relations")
+    TABLES = VOCABS
 
     def table(self, name: str) -> np.ndarray:
         if name not in self.TABLES:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kb import CrossLinkStore, KnowledgeBase, TripleStore, Vocab, write_tsv
+from .kb import RAW_FILES, CrossLinkStore, KnowledgeBase, TripleStore, Vocab, write_tsv
 
 SUBCLASS = "subclass_of"
 
@@ -127,13 +127,7 @@ def write_kb_files(kb: KnowledgeBase, out_dir) -> dict[str, str]:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "instance": out / "instance_triples.tsv",
-        "ontology": out / "ontology_triples.tsv",
-        "links": out / "links.tsv",
-    }
-    write_tsv(paths["instance"], kb.instance, (kb.entities, kb.relations, kb.entities))
-    write_tsv(paths["ontology"], kb.ontology,
-              (kb.concepts, kb.meta_relations, kb.concepts))
-    write_tsv(paths["links"], kb.links, (kb.entities, kb.concepts))
-    return {k: str(v) for k, v in paths.items()}
+    paths = {kind: str(out / f"{key}.tsv") for kind, key in RAW_FILES.items()}
+    for kind, path in paths.items():
+        write_tsv(path, getattr(kb, kind), kb, kind)
+    return paths

@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, TwoViewError
 from .evaluation import triple_completion_eval
-from .kb import (CrossLinkStore, HierarchyStore, TripleStore, Vocab,
-                 extract_hierarchy)
+from .kb import HierarchyStore, SplitDataset, TripleStore, extract_hierarchy
 from .model import CrossKind, ModelConfig, ModelParams
 from .objectives import (GradAccum, LossWeights, Margins, PairBatch,
                          TripleBatch, cg_loss, combine_intra, combine_total,
@@ -143,24 +142,6 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
-
-
-@dataclass
-class SplitDataset:
-    """Train/valid/test material plus the vocabularies they are encoded in."""
-
-    entities: Vocab
-    relations: Vocab
-    concepts: Vocab
-    meta_relations: Vocab
-    instance_train: TripleStore
-    instance_valid: TripleStore
-    instance_test: TripleStore
-    ontology_train: TripleStore
-    ontology_valid: TripleStore
-    ontology_test: TripleStore
-    links_train: CrossLinkStore
-    links_test: CrossLinkStore
 
 
 @dataclass
@@ -296,7 +277,7 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
                 "hierarchy-aware training requires hierarchical relation names")
         hierarchy, ontology_store = extract_hierarchy(
             data.ontology_train, list(config.hierarchical_relations),
-            data.meta_relations)
+            data.meta_relations, data.concepts)
         if len(hierarchy) == 0:
             raise ConfigError(
                 "hierarchy-aware training found no hierarchy triples in the "

@@ -561,3 +561,138 @@ def test_nonfinite_gradient_names_epoch_source_batch(workspace, tmp_path,
     assert header["epoch"] == 1 and np.isfinite(params.entities).all()
     assert not (out / "checkpoint_epoch0002.ckpt").exists()
     assert not (out / "checkpoint.ckpt").exists()
+
+
+@pytest.fixture(scope="module")
+def trained(workspace):
+    """The workspace's config and checkpoint, prepared and trained here
+    unless an earlier test did so."""
+    root, cfg_path, config, _ = workspace
+    ckpt = Path(config["output_dir"]) / "checkpoint.ckpt"
+    if not ckpt.exists():
+        assert main(["prepare", "--config", str(cfg_path)]) == 0
+        assert main(["train", "--config", str(cfg_path)]) == 0
+    return cfg_path, ckpt
+
+
+def _variant(workspace, tmp_path, edit) -> Path:
+    """A copy of the workspace config with its own split directory, changed
+    by ``edit(config)``."""
+    cfg = json.loads(Path(workspace[1]).read_text())
+    cfg["dataset"]["split_dir"] = str(tmp_path / "splits")
+    cfg["output_dir"] = str(tmp_path / "out")
+    edit(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("query, message", [
+    (["typo", "e00_0"], "unknown query kind 'typo'"),
+    (["type"], "query 'type' takes 1 name(s)"),
+    (["type", "e00_0", "e00_1"], "query 'type' takes 1 name(s)"),
+    (["tail", "e00_0"], "query 'tail' takes 2 name(s)"),
+    (["tail", "e00_0", "r0", "e00_1"], "query 'tail' takes 2 name(s)"),
+    (["meta", "concept00"], "query 'meta' takes 2 name(s)"),
+    (["meta", "concept00", "m0", "concept01"], "query 'meta' takes 2 name(s)"),
+    (["relquery", "concept00"], "query 'relquery' takes 2 name(s)"),
+    (["relquery", "concept00", "concept01", "concept02"],
+     "query 'relquery' takes 2 name(s)"),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_predict_rejects_unknown_kind_and_wrong_name_count(trained, capsys, query,
+                                                          message):
+    cfg_path, ckpt = trained
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 *query]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("query, answers", [
+    (["meta", "concept00", "m0"], "concepts.txt"),
+    (["relquery", "concept00", "concept01"], "relations.txt"),
+    (["tail", "e00_0", "r0"], "entities.txt"),
+    (["type", "e00_0"], "concepts.txt"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_predict_answers_name_the_answer_vocabulary(trained, workspace, capsys,
+                                                   query, answers):
+    cfg_path, ckpt = trained
+    names = (Path(workspace[2]["dataset"]["split_dir"]) / answers).read_text().split()
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 *query, "-k", "3", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 3
+    assert all(next(iter(row.values())) in names for row in rows)
+
+
+@pytest.mark.parametrize("what, table, rows", [
+    ("entities", "entities", 200), ("relations", "relations", 10),
+    ("concepts", "concepts", 20), ("meta", "meta_relations", 11)])
+def test_export_writes_every_row_under_its_vocabulary(trained, workspace, tmp_path,
+                                                     capsys, what, table, rows):
+    import numpy as np
+    from twoview.checkpoint import load_checkpoint
+
+    cfg_path, ckpt = trained
+    names = (Path(workspace[2]["dataset"]["split_dir"]) / f"{table}.txt"
+             ).read_text().splitlines()
+    out = tmp_path / f"{what}.tsv"
+    assert main(["export", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 "--what", what, "--file", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {rows} rows to {out}\n"
+    lines = [line.split("\t") for line in out.read_text().splitlines()]
+    values = load_checkpoint(ckpt)[0].table(table)
+    assert [line[0] for line in lines] == names and len(names) == rows
+    assert np.array_equal(np.array([line[1:] for line in lines], np.float32), values)
+
+
+@pytest.mark.parametrize("key", ["instance_triples", "ontology_triples"])
+def test_empty_triple_file_is_named(workspace, tmp_path, capsys, key):
+    """An empty raw triple file used to fail as 'cannot split an empty triple
+    store', naming neither the file nor the store."""
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    path = _variant(workspace, tmp_path,
+                    lambda cfg: cfg["dataset"].update({key: str(empty)}))
+    assert main(["prepare", "--config", str(path)]) == 2
+    view = key.split("_")[0]
+    assert capsys.readouterr().err == f"error: {empty} holds no {view} triples\n"
+
+
+def test_self_paired_raw_hierarchy_triple_is_named(workspace, tmp_path, capsys):
+    """A hierarchy triple from a concept to itself in the ontology train
+    split used to be reported as 'identical concepts (id 3)'."""
+    onto = tmp_path / "ontology.tsv"
+    onto.write_text(Path(workspace[2]["dataset"]["ontology_triples"]).read_text()
+                    + "concept03\tsubclass_of\tconcept03\n")
+
+    def edit(cfg):
+        cfg["dataset"]["ontology_triples"] = str(onto)
+        cfg["split"]["seed"] = 7        # puts the triple in the train split
+    assert main(["prepare", "--config", str(_variant(workspace, tmp_path, edit))]) == 2
+    err = capsys.readouterr().err
+    assert "identical concepts" in err
+    assert "'concept03'" in err and "'subclass_of'" in err and "id 3" not in err
+
+
+def test_self_paired_hierarchy_file_is_named(workspace, tmp_path, capsys):
+    """A pair of one concept with itself in a split directory's
+    hierarchy.tsv fails hierarchy-aware training naming the file, the line
+    and the concept."""
+    def edit(cfg):
+        cfg["model"]["variant"] = "HATransE-CT"
+        cfg["train"]["epochs"] = 1
+    path = _variant(workspace, tmp_path, edit)
+    assert main(["prepare", "--config", str(path)]) == 0
+    hierarchy = tmp_path / "splits" / "hierarchy.tsv"
+    lines = hierarchy.read_text().splitlines()
+    hierarchy.write_text("\n".join(lines[:2] + ["", "concept05\tconcept05"] + lines[2:])
+                         + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {hierarchy}:4: hierarchy pair with identical concepts ('concept05')\n")
+    assert not (tmp_path / "out" / "checkpoint.ckpt").exists()

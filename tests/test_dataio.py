@@ -1,10 +1,12 @@
+import hashlib
+
 import pytest
 
 from twoview.config import EvalSettings
 from twoview.dataio import load_split_dir, prepare_splits, write_split_dir
 from twoview.errors import ConfigError, TwoViewError
 from twoview.kb import SplitSpec
-from twoview.synth import planted_kb
+from twoview.synth import planted_kb, write_kb_files
 
 
 def test_split_dir_roundtrip(tmp_path):
@@ -89,3 +91,64 @@ def test_blank_or_repeated_vocabulary_name_named(tmp_path, fname, edit, line, wh
     with pytest.raises(TwoViewError, match=f"{what} name") as exc:
         load_split_dir(tmp_path)
     assert f"{path}:{line}:" in str(exc.value)
+
+
+# SHA-256 of every file written for ``planted_kb()``: its raw TSVs, and the
+# split directory of ``SplitSpec(seed=7)`` with ``["subclass_of"]``.  A
+# change that reorders a column, a row or a file fails here, where
+# comparing two runs of the same code would pass.
+RAW_SHA256 = {
+    "instance_triples.tsv":
+        "384f4cf4e146e62f5a04112e5b5673905c01dcb163b80a1cc9eac931bee7efdd",
+    "links.tsv":
+        "2c9c034157dd029672e98cc4322a08c0f76d9b10c884408a4aef1082189e489f",
+    "ontology_triples.tsv":
+        "1f6954277ad35ada9f8fc5fa9df56048f3cdb909ab53891437b33089dc689c2d",
+}
+SPLIT_SHA256 = {
+    "concepts.txt":
+        "767aa351f8783ba6b769065be575c1fa5d0da909682be3b68deb45b129854c3d",
+    "entities.txt":
+        "a0b3d9820f218fec821d1dfd5b6b53d3dd03bb9d9f793b55e7aae25d9d4f36c6",
+    "hierarchy.tsv":
+        "bbda58f6c77fcde660aa10e19cf2f625663962ad807a07ccfd5f433dd1eaa87b",
+    "instance_test.tsv":
+        "cfd7838c76e3ee3cf87dd70df5406b8fc03202c040fd2b5c9e08ab78314d0505",
+    "instance_train.tsv":
+        "a0fbbc2eef3079a05d7dffd66876748e864050d209acaa1d3efe2fa410153926",
+    "instance_valid.tsv":
+        "1bfd4f7ceff378649a1c200f33fcca26c477b3e682d27d4628f766761ff2378a",
+    "links_test.tsv":
+        "36711cf99b3dce74fecc8416eb631ac1e808c500fd6ecefa6885e368a7acecb2",
+    "links_train.tsv":
+        "7d0b252f069368b2f5b004bb5fc45e7bfe06ad2176352d55c53a2a712a776e1b",
+    "meta_relations.txt":
+        "dd2f8670f609228db1fc2e045a4f3c2c2439190f4459e534c810caab5f773c23",
+    "ontology_test.tsv":
+        "f1a555c5a8a0a1e7cdd0be097c1b9b8bc03b51f51ab010c9a14ef175139fbed1",
+    "ontology_train.tsv":
+        "62cab05f484bfffa15f81920a5457c1902e77af522102654ba8b61aaab048d96",
+    "ontology_valid.tsv":
+        "87e366c49a4c68bd718c8b27bbf32e6fec4edb48728c531dde6265129d4ba7c1",
+    "relations.txt":
+        "09b21740b7d6538cffd99582b9e8b0b69070150cf23399e4427b5d7048867c91",
+    "stats.json":
+        "334f6cf839ace3d25a1a7268ac3ee04cb6c2de512ceecc673a6998c565637f31",
+}
+
+
+def test_prepared_bytes_pinned(tmp_path):
+    kb, _ = planted_kb()
+    write_kb_files(kb, tmp_path / "raw")
+    write_split_dir(prepare_splits(kb, SplitSpec(seed=7)), tmp_path / "split", kb,
+                    ["subclass_of"])
+    for sub, want in (("raw", RAW_SHA256), ("split", SPLIT_SHA256)):
+        got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in (tmp_path / sub).iterdir()}
+        assert got == want
+    vocab_files = {"entities.txt", "relations.txt", "concepts.txt", "meta_relations.txt"}
+    split_files = {f"{kind}_{part}.tsv" for kind in ("instance", "ontology")
+                   for part in ("train", "valid", "test")}
+    split_files |= {"links_train.tsv", "links_test.tsv"}
+    assert set(SPLIT_SHA256) == vocab_files | split_files | {"hierarchy.tsv", "stats.json"}
+    assert set(RAW_SHA256) == {"instance_triples.tsv", "ontology_triples.tsv", "links.tsv"}

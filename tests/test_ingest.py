@@ -8,7 +8,7 @@ import reference_parser as ref
 from twoview.errors import ParseError, TwoViewError
 from twoview.kb import (CHUNK_CHARS, CrossLinkStore, HierarchyStore, Triple,
                         TripleStore, Vocab, entity_frequency, extract_hierarchy,
-                        load_kb, parse_links, parse_triples)
+                        load_kb, parse_hierarchy, parse_links, parse_triples)
 
 N_LINES = 9000          # about 3 chunks of lines of ~20 characters
 BAD_AT = 7000           # past the first chunk
@@ -267,3 +267,25 @@ def test_entity_frequency_equals_counting(rng):
         want[t] = want.get(t, 0) + 1
     assert entity_frequency(store) == want
     assert entity_frequency(TripleStore()) == {}
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_self_paired_hierarchy_line_is_named(tmp_path, ending):
+    """The error names the file, the line (blank lines counted) and the
+    concept, not its id."""
+    path = tmp_path / "hierarchy.tsv"
+    _write(path, ["a\tb", "", "b\tc", "", "c\tc", "a\tc"], ending)
+    with pytest.raises(ParseError, match="identical concepts") as exc:
+        parse_hierarchy(path, Vocab(["a", "b", "c"]))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 5)
+    assert str(exc.value).endswith("identical concepts ('c')")
+
+
+def test_extract_hierarchy_names_a_self_paired_triple():
+    onto = TripleStore([Triple(1, 1, 2), Triple(2, 0, 2)])
+    meta, concepts = Vocab(["sub", "rel"]), Vocab(["x", "y", "z"])
+    with pytest.raises(TwoViewError, match="'sub' from concept 'z' to itself"):
+        extract_hierarchy(onto, ["sub"], meta, concepts)
+    with pytest.raises(TwoViewError, match="'sub' from concept id 2 to itself"):
+        extract_hierarchy(onto, ["sub"], meta)
+    assert len(extract_hierarchy(onto, ["rel"], meta, concepts)[0]) == 1
