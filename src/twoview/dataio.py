@@ -53,7 +53,12 @@ def prepare_splits(kb: KnowledgeBase, spec: SplitSpec) -> SplitDataset:
 
 def write_split_dir(data: SplitDataset, out_dir, kb: KnowledgeBase,
                     hierarchical_relations: list[str] | None = None) -> None:
-    """Write a prepared split directory (byte-identical across reruns)."""
+    """Write a prepared split directory (byte-identical across reruns).
+    Every ontology triple of ``kb`` is checked before anything is written,
+    so a hierarchical-relation triple from a concept to itself fails
+    whichever split it falls in."""
+    extract_hierarchy(kb.ontology, hierarchical_relations or [], kb.meta_relations,
+                      kb.concepts)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in VOCABS:

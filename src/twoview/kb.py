@@ -12,8 +12,8 @@ tabs, and may not be empty.  Blank lines are ignored; any other line with the
 wrong field count or an empty field is a parse error.  A file is read in
 chunks of lines whose checks and vocabulary lookups run in bulk.  A store
 is built once, from an array or an iterable of id rows, and holds them as
-one read-only int64 id array; its tuples, ``by_entity`` and membership set
-are derived from it.
+one read-only int64 id array; its tuples, ``by_entity`` and sorted
+membership keys are derived from it.
 """
 
 from __future__ import annotations
@@ -103,48 +103,61 @@ def _as_rows(items, width: int) -> np.ndarray:
     return rows
 
 
-def _packed(rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Field widths holding every id of ``rows``, and one int64 key per row
-    with each column's id in its field."""
+def _field_bits(rows: np.ndarray) -> tuple[int, ...]:
+    """Per column, the width of a bit field holding every id of ``rows``."""
     bits = tuple(int(x).bit_length() for x in rows.max(0, initial=0))
     if sum(bits) > 63:
         raise TwoViewError(f"ids too large to pack into one int64 key ({bits} bits)")
+    return bits
+
+
+def _pack(rows: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
+    """One int64 key per row of ``rows``, each column's id in its field."""
     keys = rows[:, 0].copy()
     for j in range(1, rows.shape[1]):
         keys <<= bits[j]
         keys |= rows[:, j]
-    return bits, keys
+    return keys
 
 
 class _IdRows:
     """Deduplicated int64 (n, k) id rows in first-occurrence order, the body
     of the three stores.  A store is built once, by its constructor, and
     never changes.  Repeated rows are dropped with one ``np.unique`` over
-    packed keys and counted.  Membership is a set of the keys, built on the
-    first query; an id outside its column's field [0, 2**bits) is never a
-    member, so keys cannot alias."""
+    packed keys and counted.  Membership (``contains_rows``; ``in`` is its
+    one-row case) searches the sorted keys, built on the first query; an id
+    outside its column's field [0, 2**bits), or negative, is never a member,
+    so keys cannot alias.  ``training.sample_negatives`` asks about a whole
+    batch of candidates: it replays numpy's ``Generator.integers`` stream
+    and falls back to the 1-D samplers, and so to ``in``, only at a member
+    or a redraw."""
 
     __slots__ = ("rows", "_bits", "_keys", "duplicates_dropped")
     WIDTH, _ROW = 2, tuple
 
     def __init__(self, rows=()):
         rows = _as_rows(rows, self.WIDTH)
-        self._bits, keys = _packed(rows)
-        first = np.sort(np.unique(keys, return_index=True)[1])
+        self._bits = _field_bits(rows)
+        first = np.sort(np.unique(_pack(rows, self._bits), return_index=True)[1])
         self.rows, self._keys = rows[first], None      # (n, k) ids, read-only
         self.rows.flags.writeable = False
         self.duplicates_dropped = len(rows) - len(first)
 
-    def _members(self) -> set[int]:
+    def contains_rows(self, rows) -> np.ndarray:
+        """Whether each (m, k) id row of ``rows`` is in the store, as an
+        (m,) bool array."""
+        rows = np.asarray(rows, np.int64).reshape(-1, self.WIDTH)
         if self._keys is None:
-            self._keys = set(_packed(self.rows)[1].tolist())
-        return self._keys
+            self._keys = np.sort(_pack(self.rows, self._bits))
+        inside = (rows >> self._bits == 0).all(axis=1)
+        if not len(self._keys):
+            return np.zeros(len(rows), bool)
+        keys = _pack(rows, self._bits)
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return inside & (self._keys[at] == keys)
 
-    def _has_pair(self, pair) -> bool:
-        a, b = pair
-        bits_a, bits_b = self._bits
-        return not (a >> bits_a or b >> bits_b) and \
-            (a << bits_b | b) in (self._keys or self._members())
+    def _contains(self, row) -> bool:
+        return bool(self.contains_rows(row)[0])
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -159,12 +172,7 @@ class TripleStore(_IdRows):
     __slots__ = ()
     WIDTH, _ROW = 3, Triple._make
     triples = property(tuple, doc="Every triple in store order (a derived tuple).")
-
-    def __contains__(self, triple) -> bool:
-        h, r, t = triple
-        bits_h, bits_r, bits_t = self._bits
-        return not (h >> bits_h or r >> bits_r or t >> bits_t) and \
-            ((h << bits_r | r) << bits_t | t) in (self._keys or self._members())
+    __contains__ = _IdRows._contains
 
 
 class CrossLinkStore(_IdRows):
@@ -172,7 +180,7 @@ class CrossLinkStore(_IdRows):
 
     __slots__ = ("skipped_unknown", "_by_entity")
     links = property(tuple, doc="Every link in store order (a derived tuple).")
-    __contains__ = _IdRows._has_pair
+    __contains__ = _IdRows._contains
 
     def __init__(self, links=()):
         super().__init__(links)
@@ -195,7 +203,7 @@ class HierarchyStore(_IdRows):
 
     __slots__ = ()
     pairs = property(tuple, doc="Every pair in store order (a derived tuple).")
-    __contains__ = _IdRows._has_pair
+    __contains__ = _IdRows._contains
 
 
 @dataclass

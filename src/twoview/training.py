@@ -177,6 +177,54 @@ def _schedule(batch_counts) -> np.ndarray:
     return np.stack((source[order], batch[order]), axis=1)
 
 
+def sample_negatives(positives: np.ndarray, store, node_count: int,
+                     rng: np.random.Generator, stats: dict | None = None) -> np.ndarray:
+    """What ``sample_negative_triple`` ((b, 3) positives; (b, 3) negatives)
+    or ``sample_negative_concept`` ((b, 2) pairs; (b,) concepts) return when
+    called once per positive, with the same saturation count and final
+    ``rng`` state.
+
+    Those calls draw through ``Generator.integers``: for n < 2**32, Lemire's
+    method on uint32 draws x, giving (x n) >> 32 unless the low word
+    (x n) mod 2**32 is below 2**32 mod n, where it draws again.  A positive
+    whose first candidate is kept takes w draws: side (x >> 31) then node
+    for a triple, node for a pair.  One block holds the draws of every
+    remaining positive; those before the first member of ``store`` or
+    redraw are kept as drawn, the state is restored and moved on to that
+    positive, which the 1-D sampler takes, and the next block starts after
+    it.  A node count below 2 or from 2**32 takes the 1-D loop throughout.
+    This depends on how numpy draws; the tests compare it with the loop.
+    """
+    pos = np.asarray(positives, np.int64)
+    triples = pos.shape[1] == 3
+    width, bound = 2 if triples else 1, (1 << 32) % max(node_count, 1)
+    out = pos.copy() if triples else pos[:, 1].copy()
+    i, blocked = 0, 2 <= node_count < 1 << 32
+    while i < len(pos):
+        if blocked:
+            saved = rng.bit_generator.state
+            x = rng.integers(0, 1 << 32, size=width * (len(pos) - i),
+                             dtype=np.uint32).reshape(-1, width)
+            m = x[:, -1] * np.uint64(node_count)
+            cand = pos[i:].copy()
+            column = np.where(x[:, 0] >> 31 == 1, 0, 2) if triples else 1
+            cand[np.arange(len(cand)), column] = m >> 32
+            bad = ((m & 0xFFFFFFFF) < bound) | store.contains_rows(cand)
+            j = int(bad.argmax()) if bad.any() else len(bad)
+            out[i:i + j] = cand[:j] if triples else cand[:j, 1]
+            if j == len(bad):
+                break
+            rng.bit_generator.state = saved
+            rng.integers(0, 1 << 32, size=width * j, dtype=np.uint32)
+            i += j
+        # looked up here at call time, so a wrapper installed on the module sees it
+        out[i] = (sample_negative_triple(pos[i].tolist(), store, node_count, rng, stats)
+                  if triples else sample_negative_concept(
+                      *pos[i].tolist(), store, node_count, rng, stats))
+        i += 1
+    return out
+
+
 def train_epoch(params: ModelParams, state: OptimizerState, data: SplitDataset,
                 model_config: ModelConfig, config: TrainConfig,
                 rng: np.random.Generator,
@@ -201,28 +249,25 @@ def train_epoch(params: ModelParams, state: OptimizerState, data: SplitDataset,
 
     # each step maps a batch of positives to (loss, gradients, rate)
     def instance(pos):
-        negs = [sample_negative_triple(p, data.instance_train, n_e, rng, stats)
-                for p in pos.tolist()]
+        negs = sample_negatives(pos, data.instance_train, n_e, rng, stats)
         loss, grads = intra_hinge_loss(kind, TripleBatch(pos, negs),
                                        margins.instance, params, "instance")
         return loss, grads, eta
 
     def ontology(pos):
-        negs = [sample_negative_triple(p, ontology_store, n_c, rng, stats)
-                for p in pos.tolist()]
+        negs = sample_negatives(pos, ontology_store, n_c, rng, stats)
         loss, grads = intra_hinge_loss(kind, TripleBatch(pos, negs),
                                        margins.ontology, params, "ontology")
         return loss, grads.scale(weights.alpha1), eta
 
     def hierarchy_step(pos):
-        negs = [sample_negative_concept(lo, hi, hierarchy, n_c, rng, stats)
-                for lo, hi in pos.tolist()]
+        negs = sample_negatives(pos, hierarchy, n_c, rng, stats)
         loss, grads = ha_loss(PairBatch(pos, negs), margins.hierarchy, params)
         return loss, grads.scale(weights.alpha2), eta
 
     def cross(pos):     # without negatives, the CG pull-only form
-        batch = PairBatch(pos, [sample_negative_concept(e, c, links, n_c, rng, stats)
-                                for e, c in pos.tolist()] if sampled_cross else None)
+        batch = PairBatch(pos, sample_negatives(pos, links, n_c, rng, stats)
+                          if sampled_cross else None)
         if model_config.cross == CrossKind.TRANSFORMATION:
             return *ct_loss(batch, margins.cross, params), omega * eta
         return *cg_loss(batch, margins.cross, sampled_cross, params), omega * eta

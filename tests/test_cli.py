@@ -678,6 +678,29 @@ def test_self_paired_raw_hierarchy_triple_is_named(workspace, tmp_path, capsys):
     assert "'concept03'" in err and "'subclass_of'" in err and "id 3" not in err
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_self_paired_raw_hierarchy_triple_fails_at_every_seed(workspace, tmp_path,
+                                                              capsys, seed):
+    """Every ontology triple is checked, not only the train split's, and
+    before any file is written: at split seed 5 the triple used to land in
+    valid or test and prepare passed, at the other seeds it failed after
+    writing every TSV."""
+    onto = tmp_path / "ontology.tsv"
+    onto.write_text(Path(workspace[2]["dataset"]["ontology_triples"]).read_text()
+                    + "concept03\tsubclass_of\tconcept03\n")
+
+    def edit(cfg):
+        cfg["dataset"]["ontology_triples"] = str(onto)
+        cfg["split"]["seed"] = seed
+    path = _variant(workspace, tmp_path, edit)
+    (tmp_path / "splits").mkdir()
+    assert main(["prepare", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: ontology triple 'subclass_of' from concept 'concept03' to itself: "
+        "a hierarchy pair with identical concepts\n")
+    assert list((tmp_path / "splits").iterdir()) == []
+
+
 def test_self_paired_hierarchy_file_is_named(workspace, tmp_path, capsys):
     """A pair of one concept with itself in a split directory's
     hierarchy.tsv fails hierarchy-aware training naming the file, the line

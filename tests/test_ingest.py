@@ -210,6 +210,26 @@ def test_membership_outside_stored_range_is_false():
     assert (0, 1) not in CrossLinkStore() and (0, 0) not in HierarchyStore()
 
 
+@pytest.mark.parametrize("cls, width", [(TripleStore, 3), (CrossLinkStore, 2),
+                                         (HierarchyStore, 2)])
+@pytest.mark.parametrize("size", [0, 1, 40])
+def test_contains_rows_agrees_with_in(cls, width, size):
+    """The batched membership answers each row as ``in`` does, for ids past
+    a field's width, negative ids and empty stores."""
+    rng = np.random.default_rng(size)
+    store = cls(rng.integers(6, size=(size, width)))
+    probes = np.concatenate([store.rows, rng.integers(-2, 9, size=(300, width)),
+                             np.array([[2**40] + [0] * (width - 1), [0] * (width - 1)
+                                       + [2**62], [-1] * width, [0] * width])])
+    members = set(map(tuple, store.rows.tolist()))
+    want = [tuple(row) in members for row in probes.tolist()]
+    got = store.contains_rows(probes)
+    assert got.dtype == bool and got.shape == (len(probes),)
+    assert got.tolist() == want == [tuple(row) in store for row in probes.tolist()]
+    assert got[:len(store)].all() and not all(want)
+    assert store.contains_rows(np.empty((0, width), np.int64)).shape == (0,)
+
+
 def test_stores_are_built_once():
     """A store's rows come from its constructor only; fields as wide as its
     widest ids still keep narrow and wide rows apart."""

@@ -3,17 +3,19 @@ import hashlib
 import numpy as np
 import pytest
 
-from twoview import training
+from twoview import objectives, training
 from twoview.dataio import prepare_splits
 from twoview.errors import ConfigError, TwoViewError
 from twoview.evaluation import triple_completion_eval
-from twoview.kb import SplitSpec, Triple, extract_hierarchy
+from twoview.kb import (CrossLinkStore, HierarchyStore, SplitSpec, Triple,
+                        TripleStore, extract_hierarchy)
 from twoview.model import ModelConfig, ModelParams, all_variants
-from twoview.objectives import GradAccum, LossWeights, Margins
+from twoview.objectives import (GradAccum, LossWeights, Margins,
+                                sample_negative_concept, sample_negative_triple)
 from twoview.scoring import ScorerKind
 from twoview.synth import planted_kb
 from twoview.training import (OptimizerState, TrainConfig, _schedule,
-                              amsgrad_step, train, train_epoch)
+                              amsgrad_step, sample_negatives, train, train_epoch)
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -393,6 +395,126 @@ class TestTrain:
         _, history = train(data, model, cfg)
         assert history[-1].cross_loss >= 0.0
         assert history[-1].n_cross == len(data.links_train)
+
+
+def _one_by_one(pos, store, node_count, rng, stats):
+    """The per-positive loop that ``sample_negatives`` replays."""
+    if pos.shape[1] == 3:
+        return np.array([sample_negative_triple(p, store, node_count, rng, stats)
+                         for p in pos.tolist()], np.int64).reshape(-1, 3)
+    return np.array([sample_negative_concept(a, c, store, node_count, rng, stats)
+                     for a, c in pos.tolist()], np.int64)
+
+
+def _random_store(kind, nodes, rows, seed):
+    """A store of ``rows`` random rows over ``nodes`` nodes (3 relations)."""
+    r = np.random.default_rng(seed)
+    if kind == "triples":
+        return TripleStore(np.stack([r.integers(nodes, size=rows), r.integers(3, size=rows),
+                                     r.integers(nodes, size=rows)], axis=1))
+    cls = CrossLinkStore if kind == "links" else HierarchyStore
+    return cls(r.integers(nodes, size=(rows, 2)))
+
+
+class TestSampleNegatives:
+    """The block sampler against the per-positive loop, bitwise: negatives,
+    saturation count and the generator's final state.  It replays numpy's
+    ``Generator.integers`` stream (Lemire's method on buffered uint32
+    draws), so a numpy that draws otherwise fails here."""
+
+    @staticmethod
+    def _agree(pos, store, node_count, seed, prior_draws=0):
+        sides = []
+        for _ in range(2):
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 2**32, size=prior_draws, dtype=np.uint32)
+            sides.append((rng, {}))
+        (rng_a, stats_a), (rng_b, stats_b) = sides
+        got = sample_negatives(pos, store, node_count, rng_a, stats_a)
+        want = _one_by_one(pos, store, node_count, rng_b, stats_b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert stats_a == stats_b
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        return got, stats_a
+
+    @pytest.mark.parametrize("kind", ["triples", "links", "hierarchy"])
+    @pytest.mark.parametrize("prior_draws", [0, 3])     # 3: a half-used 64-bit word
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_stores(self, monkeypatch, kind, prior_draws, seed):
+        store = _random_store(kind, 12, 60, seed)
+        pos = store.rows[np.random.default_rng(seed).integers(len(store), size=300)]
+        name = "sample_negative_triple" if kind == "triples" else "sample_negative_concept"
+        calls = []
+
+        def one(*args):
+            calls.append(args)
+            return getattr(objectives, name)(*args)
+        monkeypatch.setattr(training, name, one)
+        self._agree(pos, store, 12, seed, prior_draws)
+        # members were drawn, and the 1-D sampler took only those positives
+        assert 0 < len(calls) < len(pos) // 2
+
+    @pytest.mark.parametrize("kind", ["triples", "links"])
+    def test_saturated_store(self, kind):
+        """Every candidate is a member: each positive saturates."""
+        if kind == "triples":
+            store = TripleStore((h, 0, t) for h in range(3) for t in range(3))
+        else:
+            store = CrossLinkStore((a, c) for a in range(3) for c in range(3))
+        pos = np.repeat(store.rows, 3, axis=0)
+        _, stats = self._agree(pos, store, 3, 5, prior_draws=1)
+        assert stats["negative_saturation"] == len(pos)
+
+    @pytest.mark.parametrize("kind", ["triples", "links"])
+    def test_lemire_redraws(self, kind):
+        """With n = 3 * 2**30, integers(n) draws again for a quarter of its
+        uint32 draws; a candidate past the store's ids is never a member, so
+        those redraws are the only fallbacks."""
+        store = _random_store(kind, 12, 60, 1)
+        pos = store.rows[np.arange(200) % len(store)]
+        got, _ = self._agree(pos, store, 3 * 2**30, 9)
+        assert (got >= 12).any()
+
+    @pytest.mark.parametrize("kind", ["triples", "links"])
+    @pytest.mark.parametrize("node_count", [0, 1])
+    def test_node_count_below_two(self, kind, node_count):
+        store = _random_store(kind, 4, 8, 0)
+        errors = []
+        for sample in (sample_negatives, _one_by_one):
+            with pytest.raises(TwoViewError) as exc:
+                sample(store.rows, store, node_count, np.random.default_rng(0), {})
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+
+_TRAINED_SHA256 = {
+    "TransE-CG": "f817be2db16a093c383a25d3fda08365b2affb327ed658b411a22fbccbea7718",
+    "TransE-CT": "52f0ca773c4330b13eef677ec24dab3c6460fe0a3daf1a947ce3dde2be514f20",
+    "Mult-CG": "b8c4204efc655bbf47744cea78cee92a3d6ed3e57dd335f0f4f3daa556c5d62b",
+    "Mult-CT": "20c7d5feaa5c7e4594bc23b57e669abba378a81eecd27b8a3cf7c6215f1509c0",
+    "HolE-CG": "19b83c83801109c8815bd0f599b661a44f9eaa57f1ee2c9c9d8ee1dbcb2b7733",
+    "HolE-CT": "99f00e813655310370ca3328106c16459903046c008dd9bcd7b02a04cdcb1a77",
+    "HATransE-CT": "1594bb4a33ceb3fd06909cba6aa3bcd5086b198085084f408b757631d437db3c",
+    "HAMult-CT": "1488163e32934b323aae130864f5ba0f5bbc00889dc13383ac8489bc1a10852d",
+    "HAHolE-CT": "fa9dc45c3b44dbf2c6e352d9f4c155b01f25bf3b9fe3521cae331bb089601ab4",
+}
+
+
+@pytest.mark.parametrize("variant", all_variants())
+def test_trained_bytes_pinned(synth_data, variant):
+    """SHA-256 over the name and bytes of every block after two quick
+    epochs on ``planted_kb``.  A change to the sampling stream, the losses
+    or the optimizer that moves any trained byte shows here."""
+    model = ModelConfig.from_variant(variant, 16, 16 if variant.endswith("CG") else 8)
+    config = quick_config(hierarchical_relations=("subclass_of",)
+                          if model.hierarchy_aware else ())
+    params, _ = train(synth_data[2], model, config)
+    digest = hashlib.sha256()
+    for name, arr in params.blocks():
+        digest.update(name.encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == _TRAINED_SHA256[variant]
 
 
 def test_moving_average_loss_trend_all_variants():
