@@ -41,9 +41,9 @@ from pathlib import Path
 
 from .errors import ConfigError, TwoViewError
 from .kb import RAW_FILES, SplitSpec
-from .model import CrossKind, ModelConfig
+from .model import ModelConfig
 from .objectives import LossWeights, Margins
-from .training import TrainConfig
+from .training import TrainConfig, check_variant
 
 
 @dataclass
@@ -178,7 +178,8 @@ def load_config(path, seed_override: int | None = None,
     # a wrong-typed value fails inside the dataclass checks as a TypeError
     try:
         cfg = _parse(raw, seed_override, output_override)
-        _validate(cfg)
+        if cfg.model is not None:
+            check_variant(cfg.model, cfg.train)
     except (TwoViewError, TypeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
     return cfg
@@ -219,15 +220,3 @@ def _parse(raw: dict, seed_override: int | None,
         eval=EvalSettings(**_checked(raw.get("eval", {}), "eval")),
         output_dir=output_override or raw.get("output_dir", "out"),
     )
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.model is not None:
-        if cfg.model.hierarchy_aware and not cfg.train.hierarchical_relations:
-            raise ConfigError(
-                "hierarchy-aware variants need dataset.hierarchical_relations")
-        if (cfg.model.cross == CrossKind.TRANSFORMATION
-                and not cfg.train.cross_negative_sampling):
-            raise ConfigError(
-                "the cross-view negative-sampling toggle applies only to CG; "
-                "the CT loss is defined with negatives")

@@ -71,10 +71,8 @@ def grads_to_vector(grads: GradAccum, template: ModelParams) -> np.ndarray:
     for name, a in template.blocks():
         dense = np.zeros(a.shape)
         if name in grads.blocks:
-            ids, g = grads.blocks[name]
-            dense[ids] = g
-        elif name[:-2] in grads.maps:
-            dense[...] = grads.maps[name[:-2]]["Wb".index(name[-1])]
+            idx, g = grads.blocks[name]
+            dense[idx] = g
         parts.append(dense.ravel())
     return np.concatenate(parts)
 
@@ -183,7 +181,8 @@ def check_intra_gradients(kind: ScorerKind, n_probes: int = 50, seed: int = 0) -
 
 
 def _pair_probe(params: ModelParams, rng, mode: str, margin=0.5, batch_size=3):
-    """Link/hierarchy batches away from hinge and zero-distance kinks."""
+    """Link/hierarchy batches away from hinge and zero-distance kinks; the
+    negatives drawn for "cg-plain" are left out of its batch."""
     n_e = params.entities.shape[0]
     n_c = params.concepts.shape[0]
     n_anchors = n_c if mode == "ha" else n_e
@@ -205,7 +204,7 @@ def _pair_probe(params: ModelParams, rng, mode: str, margin=0.5, batch_size=3):
         else:
             near = (d_neg < _KINK_TOL) | (np.abs(margin + d_pos - d_neg) < _KINK_TOL)
         if not (near | (d_pos < _KINK_TOL)).any():
-            return PairBatch(pos, neg)
+            return PairBatch(pos, None if mode == "cg-plain" else neg)
 
 
 def check_cross_gradients(mode: str, n_probes: int = 50, seed: int = 0) -> float:
@@ -216,10 +215,8 @@ def check_cross_gradients(mode: str, n_probes: int = 50, seed: int = 0) -> float
     def probe(rng):
         params = _random_params(rng, with_ct=(mode == "ct"), with_ha=(mode == "ha"))
         batch = _pair_probe(params, rng, mode)
-        if mode in ("ct", "ha"):
-            return params, ct_loss if mode == "ct" else ha_loss, \
-                lambda p: (batch, 0.5, p)
-        return params, cg_loss, lambda p: (batch, 0.5, mode == "cg-sampled", p)
+        loss = {"ct": ct_loss, "ha": ha_loss}.get(mode, cg_loss)
+        return params, loss, lambda p: (batch, 0.5, p)
 
     return _gradient_check(probe, n_probes, seed)
 

@@ -93,14 +93,22 @@ class Triple(NamedTuple):
     tail: int
 
 
-def _as_rows(items, width: int) -> np.ndarray:
+def _as_rows(items, width: int | None) -> np.ndarray:
     """``items`` (an array, or an iterable of id rows) as an owned int64
-    (n, width) array of non-negative ids."""
-    rows = np.array(items if isinstance(items, np.ndarray) else list(items), np.int64)
-    rows = rows.reshape(0, width) if rows.size == 0 else rows
-    if rows.ndim != 2 or rows.shape[1] != width or rows.min(initial=0) < 0:
-        raise TwoViewError(f"expected rows of {width} non-negative ids, got {items!r:.80}")
-    return rows
+    (n, width) array of non-negative integer ids; with ``width`` None, an
+    iterable of ids as an (n,) array.  Anything else, a float or negative
+    id or a row of another length among them, raises ``TwoViewError``."""
+    try:
+        rows = np.array(items if isinstance(items, np.ndarray) else list(items))
+    except (TypeError, ValueError):                 # not iterable, or ragged
+        rows = np.array(None)
+    shape = () if width is None else (width,)
+    rows = np.empty((0, *shape), np.int64) if rows.size == 0 else rows
+    if (rows.ndim != len(shape) + 1 or rows.shape[1:] != shape or rows.dtype.kind not in "iu"
+            or rows.astype(np.int64, copy=False).min(initial=0) < 0):  # a uint >= 2**63 too
+        raise TwoViewError(f"expected {f'rows of {width} ' if width else ''}"
+                           f"non-negative integer ids, got {items!r:.80}")
+    return rows.astype(np.int64, copy=False)
 
 
 def _field_bits(rows: np.ndarray) -> tuple[int, ...]:
@@ -125,12 +133,12 @@ class _IdRows:
     of the three stores.  A store is built once, by its constructor, and
     never changes.  Repeated rows are dropped with one ``np.unique`` over
     packed keys and counted.  Membership (``contains_rows``; ``in`` is its
-    one-row case) searches the sorted keys, built on the first query; an id
-    outside its column's field [0, 2**bits), or negative, is never a member,
-    so keys cannot alias.  ``training.sample_negatives`` asks about a whole
-    batch of candidates: it replays numpy's ``Generator.integers`` stream
-    and falls back to the 1-D samplers, and so to ``in``, only at a member
-    or a redraw."""
+    one-row case for a key that ``_as_rows`` accepts) searches the sorted
+    keys, built on the first query; an id outside its column's field
+    [0, 2**bits), or negative, is never a member, so keys cannot alias.
+    ``training.sample_negatives`` asks about a whole batch of candidates: it
+    replays numpy's ``Generator.integers`` stream and falls back to the 1-D
+    samplers, and so to ``in``, only at a member or a redraw."""
 
     __slots__ = ("rows", "_bits", "_keys", "duplicates_dropped")
     WIDTH, _ROW = 2, tuple
@@ -157,7 +165,12 @@ class _IdRows:
         return inside & (self._keys[at] == keys)
 
     def _contains(self, row) -> bool:
-        return bool(self.contains_rows(row)[0])
+        """``row in store`` as for a set of id tuples: a key that is not one
+        row of ``WIDTH`` non-negative integer ids is not a member."""
+        try:
+            return bool(self.contains_rows(_as_rows([row], self.WIDTH))[0])
+        except TwoViewError:
+            return False
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -88,6 +88,11 @@ def all_variants() -> list[str]:
 VIEW_TABLES = {view: COLUMNS[view][:2] for view in ("instance", "ontology")}
 
 
+def map_blocks(name: str) -> tuple[str, str]:
+    """The block names of affine map ``name``'s W and b, in params and gradients."""
+    return f"{name}_W", f"{name}_b"
+
+
 @dataclass
 class ModelParams:
     """All trainable arrays.
@@ -127,7 +132,7 @@ class ModelParams:
         out = [(name, self.table(name)) for name in self.TABLES]
         for name, m in (("ct", self.ct_map), ("ha", self.ha_map)):
             if m is not None:
-                out += [(f"{name}_W", m.W), (f"{name}_b", m.b)]
+                out += zip(map_blocks(name), (m.W, m.b))
         return out
 
     def copy(self) -> "ModelParams":
@@ -142,17 +147,17 @@ class ModelParams:
         out = [(name, (rows[name], d))
                for name, d in zip(cls.TABLES, (d_e, d_e, d_c, d_c))]
         if config.cross == CrossKind.TRANSFORMATION:
-            out += [("ct_W", (d_c, d_e)), ("ct_b", (d_c,))]
+            out += zip(map_blocks("ct"), ((d_c, d_e), (d_c,)))
         if config.hierarchy_aware:
-            out += [("ha_W", (d_c, d_c)), ("ha_b", (d_c,))]
+            out += zip(map_blocks("ha"), ((d_c, d_c), (d_c,)))
         return out
 
     @classmethod
     def from_blocks(cls, pairs) -> "ModelParams":
         """Parameters from (name, array) pairs named as ``blocks()`` names them."""
         arrays = dict(pairs)
-        maps = {f"{m}_map": AffineMap(arrays.pop(f"{m}_W"), arrays.pop(f"{m}_b"))
-                for m in ("ct", "ha") if f"{m}_W" in arrays}
+        maps = {f"{m}_map": AffineMap(*(arrays.pop(n) for n in map_blocks(m)))
+                for m in ("ct", "ha") if map_blocks(m)[0] in arrays}
         return cls(**arrays, **maps)
 
     @classmethod
@@ -163,8 +168,8 @@ class ModelParams:
         biases.  The weights are drawn first (CT before HA), then the tables."""
         layout = cls.layout(config, dict(zip(
             cls.TABLES, (n_entities, n_relations, n_concepts, n_meta))))
-        drawn = {name: init_orthogonal(*shape, rng, dtype)
-                 for name, shape in layout if name.endswith("_W")}
+        drawn = {name: init_orthogonal(*shape, rng, dtype) for name, shape in layout
+                 if name in (map_blocks(m)[0] for m in ("ct", "ha"))}
         drawn.update((name, init_unit_sphere(*shape, rng, dtype))
                      for name, shape in layout if name in cls.TABLES)
         return cls.from_blocks((name, drawn.get(name, np.zeros(shape, dtype)))

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, TwoViewError
-from .kb import Triple
-from .model import VIEW_TABLES, ModelParams
+from .kb import Triple, _as_rows
+from .model import VIEW_TABLES, ModelParams, map_blocks
 from .scoring import ScorerKind, score, score_grads
 from .tensor_ops import affine_tanh, unit_rows
 
@@ -58,15 +57,18 @@ class LossWeights:
             raise ConfigError("omega must be >= 0 (0 disables cross-view steps)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TripleBatch:
-    """Positives with one corrupted negative each, as (n, 3) id arrays or
-    lists of ``Triple``s."""
+    """Positives with one corrupted negative each, given as (n, 3) id arrays
+    or iterables of id rows (``Triple``s, say) and held as the (n, 3) int64
+    arrays of ``kb._as_rows``: a float or negative id raises here."""
 
-    pos: np.ndarray | list[Triple]
-    neg: np.ndarray | list[Triple]
+    pos: np.ndarray
+    neg: np.ndarray
 
     def __post_init__(self):
+        for name in ("pos", "neg"):
+            object.__setattr__(self, name, _as_rows(getattr(self, name), 3))
         if len(self.pos) != len(self.neg):
             raise TwoViewError("positive and negative lists must be parallel")
 
@@ -74,18 +76,23 @@ class TripleBatch:
         return len(self.pos)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairBatch:
     """(anchor, positive second) pairs with one negative second element each:
-    cross-view links (entity, concept) or hierarchy pairs (finer, coarser).
-    ``neg_second`` may be omitted for the CG mode that needs no negatives."""
+    cross-view links (entity, concept) or hierarchy pairs (finer, coarser),
+    held as ``kb._as_rows`` arrays, (n, 2) and (n,), as ``TripleBatch``
+    holds its sides.  Without ``neg_second``, ``cg_loss`` takes its
+    pull-only form."""
 
-    pos: np.ndarray | list[tuple[int, int]]
-    neg_second: list[int] | None = None
+    pos: np.ndarray
+    neg_second: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.neg_second is not None and len(self.pos) != len(self.neg_second):
-            raise TwoViewError("positive and negative lists must be parallel")
+        object.__setattr__(self, "pos", _as_rows(self.pos, 2))
+        if self.neg_second is not None:
+            object.__setattr__(self, "neg_second", _as_rows(self.neg_second, None))
+            if len(self.pos) != len(self.neg_second):
+                raise TwoViewError("positive and negative lists must be parallel")
 
     def __len__(self):
         return len(self.pos)
@@ -108,50 +115,36 @@ def _merge(ids: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids[keep], out
 
 
-def _id_rows(items, width: int) -> np.ndarray:
-    """A batch's (n, width) id array, or list of id tuples, as intp rows."""
-    if len(items) == 0:
-        raise TwoViewError("loss batch is empty")
-    if isinstance(items, np.ndarray):
-        return items.astype(np.intp, copy=False).reshape(-1, width)
-    return np.fromiter(chain.from_iterable(items), np.intp,
-                       width * len(items)).reshape(-1, width)
-
-
 class GradAccum:
-    """Sparse gradient: per embedding table, one block of the distinct row
-    ids in first-occurrence order and their summed (n, d) rows, merged as
-    rows are added; plus dense (dW, db) per affine map.  ``rows`` views the
-    blocks as {(table, row id): row}, each row a view into its block."""
+    """Sparse gradient, one (ids, g) block per ``ModelParams.blocks()`` name:
+    for a table, the distinct row ids in first-occurrence order and their
+    summed (n, d) rows, merged as rows are added; for an affine map's W or
+    b, ``...`` and the dense array.  ``rows`` views the table blocks as
+    {(table, row id): row}, each row a view into its block."""
 
     def __init__(self):
-        self.blocks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self.maps: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.blocks: dict[str, tuple] = {}
 
     @property
     def rows(self) -> dict[tuple[str, int], np.ndarray]:
         return {(table, row): g for table, (ids, block) in self.blocks.items()
-                for row, g in zip(ids.tolist(), block)}
+                if ids is not ... for row, g in zip(ids.tolist(), block)}
 
-    def add_rows(self, table: str, ids, g: np.ndarray) -> None:
-        """Add the (n, d) rows ``g``, taken over, not copied, at ``ids``."""
+    def add_rows(self, name: str, ids, g: np.ndarray) -> None:
+        """Add ``g``, taken over, not copied: (n, d) rows at row ``ids``, or
+        with ``ids`` ``...`` the whole dense block."""
+        old = self.blocks.get(name)
+        if ids is ...:
+            self.blocks[name] = (..., g if old is None else old[1] + g)
+            return
         ids = np.asarray(ids, dtype=np.intp)
-        if table in self.blocks:
-            old_ids, old = self.blocks[table]
-            ids, g = np.concatenate((old_ids, ids)), np.concatenate((old, g))
-        self.blocks[table] = _merge(ids, g)
-
-    def add_map(self, name: str, dW: np.ndarray, db: np.ndarray) -> None:
-        cur = self.maps.get(name)
-        self.maps[name] = (dW.copy(), db.copy()) if cur is None else \
-            (cur[0] + dW, cur[1] + db)
+        if old is not None:
+            ids, g = np.concatenate((old[0], ids)), np.concatenate((old[1], g))
+        self.blocks[name] = _merge(ids, g)
 
     def scale(self, s: float) -> "GradAccum":
         for _, g in self.blocks.values():
             g *= s
-        for dW, db in self.maps.values():
-            dW *= s
-            db *= s
         return self
 
 
@@ -212,21 +205,20 @@ def sample_negative_concept(anchor: int, positive: int, pair_store,
 
 def _hinge_mean(bracket: np.ndarray) -> tuple[float, np.ndarray]:
     """The mean over all pairs of the positive brackets, and their mask."""
+    if not len(bracket):
+        raise TwoViewError("loss batch is empty")
     active = bracket > 0.0
     return float(bracket[active].sum()) * (1.0 / len(bracket)), active
 
 
 def _hinge(bracket: np.ndarray, gradient) -> tuple[float, GradAccum]:
-    """The loss and its gradient: ``gradient(active)`` gives [(table, ids,
-    rows)], scattered in order, and {map: (dW, db)}, scaled like the mean."""
+    """The loss and its gradient: ``gradient(active)`` gives [(block, ids,
+    g)], ids ``...`` for a dense map block, added in order, scaled like the mean."""
     value, active = _hinge_mean(bracket)
     grads = GradAccum()
     if active.any():
-        rows, maps = gradient(active)
-        for table, ids, g in rows:
-            grads.add_rows(table, ids, g)
-        for name, (dW, db) in maps.items():
-            grads.add_map(name, dW, db)
+        for name, ids, g in gradient(active):
+            grads.add_rows(name, ids, g)
     return value, grads.scale(1.0 / len(bracket))
 
 
@@ -239,7 +231,7 @@ def _intra(kind: ScorerKind, batch: TripleBatch, margin: float,
     def rows(trip):
         return nodes[trip[:, 0]], edges[trip[:, 1]], nodes[trip[:, 2]]
 
-    pos, neg = (_id_rows(side, 3) for side in (batch.pos, batch.neg))
+    pos, neg = batch.pos, batch.neg
     bracket = (margin + score(kind, *rows(neg)).astype(np.float64)
                - score(kind, *rows(pos)))
 
@@ -255,7 +247,7 @@ def _intra(kind: ScorerKind, batch: TripleBatch, margin: float,
         edge_g[0] *= -1
         return [(node_table, trips[:, :, ::2].transpose(0, 2, 1).ravel(),
                  node_g.reshape(-1, d)),
-                (edge_table, trips[:, :, 1].ravel(), edge_g.reshape(-1, d))], {}
+                (edge_table, trips[:, :, 1].ravel(), edge_g.reshape(-1, d))]
 
     return bracket, gradient
 
@@ -270,15 +262,16 @@ def _distance_hinge(point: np.ndarray, targets, margin: float):
 
 
 def _pairs(batch: PairBatch, margin: float, params: ModelParams,
-           negatives: bool = True, map_name: str | None = None):
+           map_name: str | None = None):
     """Brackets and gradient kernel of the distance hinge from each anchor's
     point, the entity under CG and tanh(W a + b) under CT and HA (concept
-    anchors), to its concepts.  Products with W and dW are ``np.einsum``
-    calls: a BLAS matmul's sums follow its thread count."""
-    a, c = _id_rows(batch.pos, 2).T
-    if negatives and batch.neg_second is None:
-        raise TwoViewError("this loss mode requires negative concepts")
-    targets = (c, np.asarray(batch.neg_second, dtype=np.intp)) if negatives else (c,)
+    anchors), to its concept, and to its negative when the batch has them.
+    Products with W and dW are ``np.einsum`` calls: a BLAS matmul's sums
+    follow its thread count."""
+    a, c = batch.pos.T
+    if map_name and batch.neg_second is None:
+        raise TwoViewError(f"the {map_name.upper()} loss requires negative concepts")
+    targets = (c,) if batch.neg_second is None else (c, batch.neg_second)
     anchor_table = "concepts" if map_name == "ha" else "entities"
     anchors, concepts = params.table(anchor_table), params.concepts
     m = None if map_name is None else params.map(map_name)
@@ -295,17 +288,15 @@ def _pairs(batch: PairBatch, margin: float, params: ModelParams,
         rows = [("concepts", np.concatenate([t[active] for t in targets]),
                  u[0] if len(u) == 1 else np.concatenate((u[0], -u[1])))]
         if m is None:
-            return rows + [(anchor_table, a[active], g_point)], {}
+            return rows + [(anchor_table, a[active], g_point)]
         p = point[active]
         dz = g_point * (1.0 - p * p)                        # tanh'
-        return rows + [(anchor_table, a[active], np.einsum("bo,oi->bi", dz, m.W))], \
-            {map_name: (np.einsum("bi,bj->ij", dz, anchors[a[active]]), dz.sum(axis=0))}
+        w, b = map_blocks(map_name)
+        return rows + [(anchor_table, a[active], np.einsum("bo,oi->bi", dz, m.W)),
+                       (w, ..., np.einsum("bi,bj->ij", dz, anchors[a[active]])),
+                       (b, ..., dz.sum(axis=0))]
 
     return bracket, gradient
-
-
-def _cg(batch, margin, use_negatives, params):
-    return _pairs(batch, margin, params, use_negatives)
 
 
 _ct, _ha = partial(_pairs, map_name="ct"), partial(_pairs, map_name="ha")
@@ -317,12 +308,13 @@ def intra_hinge_loss(kind: ScorerKind, batch: TripleBatch, margin: float,
     return _hinge(*_intra(kind, batch, margin, params, view))
 
 
-def cg_loss(batch: PairBatch, margin: float, use_negatives: bool,
+def cg_loss(batch: PairBatch, margin: float,
             params: ModelParams) -> tuple[float, GradAccum]:
     """Cross-view grouping loss: mean [||c - e|| - margin]_+, pulling each
-    entity inside its concept's margin radius, or with negatives the
-    margin-ranking form mean [margin + ||c - e|| - ||c' - e||]_+ of CT."""
-    return _hinge(*_cg(batch, margin, use_negatives, params))
+    entity inside its concept's margin radius, or, for a batch with
+    negatives, the margin-ranking form mean [margin + ||c - e|| - ||c' - e||]_+
+    of CT."""
+    return _hinge(*_pairs(batch, margin, params))
 
 
 def ct_loss(batch: PairBatch, margin: float,
@@ -338,7 +330,7 @@ def ha_loss(batch: PairBatch, margin: float,
     return _hinge(*_ha(batch, margin, params))
 
 
-_VALUE_PATHS = {intra_hinge_loss: _intra, cg_loss: _cg, ct_loss: _ct, ha_loss: _ha}
+_VALUE_PATHS = {intra_hinge_loss: _intra, cg_loss: _pairs, ct_loss: _ct, ha_loss: _ha}
 
 
 def loss_value(loss, *args) -> float:

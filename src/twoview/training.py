@@ -68,25 +68,21 @@ def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
                  rate: float) -> None:
     """One sparse AMSGrad update followed by unit-norm projection.
 
-    Each table's gradient block (distinct row ids, summed rows) and each
-    map's W and b gradients are applied as they are.  Only coordinates with
-    a gradient entry are touched: m <- b1*m + (1-b1)*g, v <- b2*v +
+    Each gradient block, a table's distinct row ids and summed rows or a
+    map's dense W or b, is applied as it is.  Only coordinates with a
+    gradient entry are touched: m <- b1*m + (1-b1)*g, v <- b2*v +
     (1-b2)*g^2, vhat <- max(vhat, v), theta <- theta - rate * m /
     (sqrt(vhat) + eps).  Touched entity/concept rows are then projected back
     to unit norm; everything else is left bitwise unchanged.
     """
     arrays = dict(params.blocks())
-    steps = [(name, ids, g) for name, (ids, g) in grads.blocks.items()]
-    steps += [(f"{name}_{part}", ..., g) for name, pair in grads.maps.items()
-              for part, g in zip("Wb", pair)]
     steps = [(name, idx, g.astype(arrays[name].dtype, copy=False))
-             for name, idx, g in steps]
+             for name, (idx, g) in grads.blocks.items()]
     for name, idx, g in steps:
         finite = np.isfinite(g).all(axis=-1)
         if not finite.all():
-            raise TwoViewError(
-                f"non-finite gradient for affine map {name[:-2]!r}" if idx is ...
-                else f"non-finite gradient for {name} row {idx[np.argmin(finite)]}")
+            raise TwoViewError(f"non-finite gradient for {name}" + (
+                "" if idx is ... else f" row {idx[np.argmin(finite)]}"))
     for name, idx, g in steps:
         _amsgrad(arrays[name], state.moments[name], idx, g, rate)
         if name in _NORM_CONSTRAINED:
@@ -138,7 +134,7 @@ class TrainConfig:
             raise ConfigError("learning rate must be positive")
         for name, low in (("epochs", 1), ("batch_instance", 1), ("batch_ontology", 1),
                           ("batch_cross", 1), ("batch_hierarchy", 1), ("seed", 0),
-                          ("checkpoint_interval", 0), ("early_stop_patience", 0)):
+                          ("checkpoint_interval", 0), ("early_stop_patience", 1)):
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
@@ -244,8 +240,6 @@ def train_epoch(params: ModelParams, state: OptimizerState, data: SplitDataset,
     eta, omega = config.learning_rate, weights.omega
     n_e, n_c = len(data.entities), len(data.concepts)
     links = data.links_train
-    sampled_cross = (model_config.cross == CrossKind.TRANSFORMATION
-                     or config.cross_negative_sampling)
 
     # each step maps a batch of positives to (loss, gradients, rate)
     def instance(pos):
@@ -267,10 +261,9 @@ def train_epoch(params: ModelParams, state: OptimizerState, data: SplitDataset,
 
     def cross(pos):     # without negatives, the CG pull-only form
         batch = PairBatch(pos, sample_negatives(pos, links, n_c, rng, stats)
-                          if sampled_cross else None)
-        if model_config.cross == CrossKind.TRANSFORMATION:
-            return *ct_loss(batch, margins.cross, params), omega * eta
-        return *cg_loss(batch, margins.cross, sampled_cross, params), omega * eta
+                          if config.cross_negative_sampling else None)
+        loss = ct_loss if model_config.cross == CrossKind.TRANSFORMATION else cg_loss
+        return *loss(batch, margins.cross, params), omega * eta
 
     sources = [src for src in (
         ("instance", data.instance_train.rows, config.batch_instance, instance),
@@ -302,6 +295,18 @@ def train_epoch(params: ModelParams, state: OptimizerState, data: SplitDataset,
                        *counts.values())
 
 
+def check_variant(model_config: ModelConfig, config: TrainConfig) -> None:
+    """Refuse a training config the variant cannot train with: a
+    hierarchy-aware variant needs hierarchical relation names, and the CT
+    loss is defined with cross-view negatives."""
+    if model_config.hierarchy_aware and not config.hierarchical_relations:
+        raise ConfigError("hierarchy-aware variants need hierarchical relation "
+                          "names (dataset.hierarchical_relations)")
+    if model_config.cross == CrossKind.TRANSFORMATION and not config.cross_negative_sampling:
+        raise ConfigError("the cross-view negative-sampling toggle applies only to CG; "
+                          "the CT loss is defined with negatives")
+
+
 def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
           epoch_callback=None) -> tuple[ModelParams, list[EpochReport]]:
     """Train a variant from fresh initialization.
@@ -314,12 +319,9 @@ def train(data: SplitDataset, model_config: ModelConfig, config: TrainConfig,
     on the instance validation triples, and the parameters of the epoch
     with the best validation MRR are returned instead.
     """
-    ontology_store = data.ontology_train
-    hierarchy = None
+    check_variant(model_config, config)
+    ontology_store, hierarchy = data.ontology_train, None
     if model_config.hierarchy_aware:
-        if not config.hierarchical_relations:
-            raise ConfigError(
-                "hierarchy-aware training requires hierarchical relation names")
         hierarchy, ontology_store = extract_hierarchy(
             data.ontology_train, list(config.hierarchical_relations),
             data.meta_relations, data.concepts)

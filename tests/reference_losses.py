@@ -14,7 +14,7 @@ moment and for the step), which the current forms match bitwise.
 import numpy as np
 
 from twoview.kb import Triple
-from twoview.model import VIEW_TABLES
+from twoview.model import VIEW_TABLES, map_blocks
 from twoview.objectives import GradAccum
 from twoview.scoring import score, score_grads
 from twoview.tensor_ops import affine_tanh
@@ -76,8 +76,9 @@ class _Rows:
             keys = [key for key in self.rows if key[0] == table]
             out.add_rows(table, [row for _, row in keys],
                          np.array([self.rows[key] for key in keys]))
-        for name, (dW, db) in self.maps.items():
-            out.add_map(name, dW, db)
+        for name, pair in self.maps.items():
+            for block, g in zip(map_blocks(name), pair):
+                out.add_rows(block, ..., g)
         return total / n, out.scale(1.0 / n)
 
 
@@ -111,13 +112,13 @@ def intra_hinge_loss(kind, batch, margin, params, view):
     return grads.result(total, len(batch))
 
 
-def cg_loss(batch, margin, use_negatives, params):
+def cg_loss(batch, margin, params):
     grads = _Rows()
     total = 0.0
     for i, (e, c) in enumerate(batch.pos):
         ev = params.entities[e]
         u_pos, d_pos = _unit_or_zero(params.concepts[c] - ev)
-        if use_negatives:
+        if batch.neg_second is not None:
             cn = batch.neg_second[i]
             u_neg, d_neg = _unit_or_zero(params.concepts[cn] - ev)
             bracket = margin + d_pos - d_neg

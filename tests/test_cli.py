@@ -371,6 +371,7 @@ def test_removed_or_misspelt_key_rejected(tmp_path, block, key):
     ({"eval": {"ks": 10}}, "ks"),
     ({"eval": {"longtail_threshold": 0}}, "longtail_threshold"),
     ({"output_dir": 7}, "output_dir"),
+    ({"train": {"early_stop_patience": 0}}, "early_stop_patience"),
 ])
 def test_invalid_value_error_names_file(tmp_path, cfg, key):
     path = tmp_path / "c.json"

@@ -230,6 +230,29 @@ def test_contains_rows_agrees_with_in(cls, width, size):
     assert store.contains_rows(np.empty((0, width), np.int64)).shape == (0,)
 
 
+@pytest.mark.parametrize("cls, width", [(TripleStore, 3), (CrossLinkStore, 2),
+                                         (HierarchyStore, 2)])
+def test_in_answers_like_a_set_of_id_tuples(cls, width):
+    """A key that the stores' id gate refuses is not a member: a longer or
+    shorter row, a float or negative id, a name, a bare id or ``None``."""
+    rows = [tuple(range(1, width + 1)), tuple(range(4, width + 4))]
+    store = cls(rows)
+    assert all(row in store for row in rows)
+    first = rows[0]
+    for key in [rows[0] + rows[1], first[:-1], (1.5,) + first[1:], (-1,) + first[1:],
+                tuple(map(str, first)), first[0], None, (None,) * width]:
+        assert key not in store, key
+
+
+@pytest.mark.parametrize("rows", [[(1.5, 2, 3)], np.array([[1.0, 2, 3]]),
+                                  [("a", "b", "c")], [(1, 2, 3), (4, 5)]])
+def test_store_refuses_rows_that_are_not_ids(rows):
+    """Once, ``TripleStore([(1.5, 2, 3)])`` stored (1, 2, 3), and names or
+    ragged rows raised numpy's ``ValueError``."""
+    with pytest.raises(TwoViewError, match="non-negative integer ids"):
+        TripleStore(rows)
+
+
 def test_stores_are_built_once():
     """A store's rows come from its constructor only; fields as wide as its
     widest ids still keep narrow and wide rows apart."""

@@ -20,7 +20,7 @@ from twoview.objectives import (GradAccum, LossWeights, Margins, PairBatch,
 from twoview.scoring import ScorerKind
 from twoview.synth import SUBCLASS, planted_kb
 from twoview.tensor_ops import affine_tanh
-from twoview.training import OptimizerState, TrainConfig, train_epoch
+from twoview.training import OptimizerState, TrainConfig, amsgrad_step, train_epoch
 
 import reference_losses
 
@@ -124,7 +124,7 @@ class TestIntraHingeLoss:
         loss, grads = intra_hinge_loss(ScorerKind.TRANSLATIONAL, batch, 0.5,
                                        params, "instance")
         assert loss == 0.0
-        assert not grads.rows and not grads.maps
+        assert not grads.blocks
 
     def test_equal_scores_give_margin(self):
         params = _params_for_view()
@@ -160,21 +160,21 @@ class TestCgLoss:
     def test_coincident_pair_zero_plain(self):
         params = self._params()
         params.concepts[0] = params.entities[0].copy()
-        loss, grads = cg_loss(PairBatch([(0, 0)]), 0.5, False, params)
-        assert loss == 0.0 and not grads.rows and not grads.maps
+        loss, grads = cg_loss(PairBatch([(0, 0)]), 0.5, params)
+        assert loss == 0.0 and not grads.blocks
 
     def test_plain_arithmetic(self):
         params = self._params()
         params.entities[0] = np.zeros(4)
         params.concepts[0] = np.array([1.5, 0, 0, 0])
-        loss, _ = cg_loss(PairBatch([(0, 0)]), 0.5, False, params)
+        loss, _ = cg_loss(PairBatch([(0, 0)]), 0.5, params)
         assert abs(loss - 1.0) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(0)
         params = _random_params(rng, d_e=6, d_c=4)
         with pytest.raises(ConfigError):
-            cg_loss(PairBatch([(0, 0)]), 0.5, False, params)
+            cg_loss(PairBatch([(0, 0)]), 0.5, params)
 
     def test_gradient_gate_both_modes(self):
         assert check_cross_gradients("cg-plain", n_probes=50, seed=0) < 1e-4
@@ -263,9 +263,11 @@ class TestGradAccum:
         g.add_rows("entities", [0], np.ones((1, 3)))
         g.add_rows("entities", [0], np.ones((1, 3)))
         assert np.array_equal(g.rows[("entities", 0)], 2 * np.ones(3))
-        g.add_map("ct", np.ones((2, 2)), np.ones(2))
-        g.add_map("ct", np.ones((2, 2)), np.ones(2))
-        assert np.array_equal(g.maps["ct"][0], 2 * np.ones((2, 2)))
+        g.add_rows("ct_W", ..., np.ones((2, 2)))
+        g.add_rows("ct_W", ..., np.ones((2, 2)))
+        assert g.blocks["ct_W"][0] is ...
+        assert np.array_equal(g.blocks["ct_W"][1], 2 * np.ones((2, 2)))
+        assert list(g.rows) == [("entities", 0)]
 
     def test_scale_and_merge(self):
         g = GradAccum()
@@ -292,8 +294,8 @@ class TestLossNonnegativityProperty:
         pairs = PairBatch([(int(rng.integers(6)), int(rng.integers(6)))
                            for _ in range(4)],
                           [int(rng.integers(6)) for _ in range(4)])
-        assert cg_loss(pairs, 0.5, True, params)[0] >= 0.0
-        assert cg_loss(PairBatch(pairs.pos), 0.5, False, params)[0] >= 0.0
+        assert cg_loss(pairs, 0.5, params)[0] >= 0.0
+        assert cg_loss(PairBatch(pairs.pos), 0.5, params)[0] >= 0.0
         assert ct_loss(pairs, 0.5, params)[0] >= 0.0
         concept_pairs = PairBatch(
             [(int(rng.integers(6)), int(rng.integers(6))) for _ in range(4)],
@@ -387,14 +389,11 @@ class TestBatchIdTypes:
         (loss, grads), (other_loss, other_grads) = result, other
         assert loss == other_loss and grads.blocks
         assert grads.blocks.keys() == other_grads.blocks.keys()
-        assert grads.maps.keys() == other_grads.maps.keys()
-        for table, (ids, block) in grads.blocks.items():
-            other_ids, other_block = other_grads.blocks[table]
-            assert ids.tolist() == other_ids.tolist()
-            assert block.tobytes() == other_block.tobytes(), table
-        for name, arrays in grads.maps.items():
-            for a, b in zip(arrays, other_grads.maps[name]):
-                assert a.tobytes() == b.tobytes(), name
+        for name, (ids, block) in grads.blocks.items():
+            other_ids, other_block = other_grads.blocks[name]
+            if ids is not ...:                  # a table's rows, not a dense map block
+                assert ids.tolist() == other_ids.tolist(), name
+            assert block.tobytes() == other_block.tobytes(), name
 
     @pytest.mark.parametrize("kind", list(ScorerKind))
     def test_intra_loss(self, kind):
@@ -416,8 +415,8 @@ class TestBatchIdTypes:
         plain = PairBatch([tuple(p.tolist()) for p in pos], neg.tolist())
         numpy_ints = PairBatch([tuple(np.int64(x) for x in p) for p in pos],
                                [np.int64(c) for c in neg])
-        for loss in (lambda b: cg_loss(b, 0.5, True, params),
-                     lambda b: cg_loss(PairBatch(b.pos), 0.5, False, params),
+        for loss in (lambda b: cg_loss(b, 0.5, params),
+                     lambda b: cg_loss(PairBatch(b.pos), 0.5, params),
                      lambda b: ct_loss(b, 0.5, params),
                      lambda b: ha_loss(b, 0.5, params)):
             self._assert_same(loss(plain), loss(numpy_ints))
@@ -427,11 +426,55 @@ class TestBatchIdTypes:
         empty = TripleBatch([], [])
         for call in (lambda: intra_hinge_loss(ScorerKind.TRANSLATIONAL, empty, 0.5,
                                               params, "instance"),
-                     lambda: cg_loss(PairBatch([]), 0.5, False, params),
+                     lambda: cg_loss(PairBatch([]), 0.5, params),
                      lambda: ct_loss(PairBatch([], []), 0.5, params),
                      lambda: ha_loss(PairBatch([], []), 0.5, params)):
             with pytest.raises(TwoViewError, match="batch is empty"):
                 call()
+
+
+class TestIdGate:
+    """Loss batches read their ids through the stores' gate, so a float or
+    negative id raises ``TwoViewError`` before any loss or update runs.
+    Once, a -1 head in an active intra pair updated the last entity row."""
+
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_every_loss_and_a_store(self, bad):
+        params = _random_params(np.random.default_rng(0), with_ct=True, with_ha=True)
+        before, state = params.copy(), OptimizerState.init(params)
+
+        def step(loss, *args):
+            amsgrad_step(params, state, loss(*args, 10.0, params)[1], 0.1)
+
+        def intra(batch, margin, params):
+            return intra_hinge_loss(ScorerKind.TRANSLATIONAL, batch, margin, params,
+                                    "instance")
+        for call in (lambda: step(intra, TripleBatch([(bad, 0, 1)], [(2, 0, 1)])),
+                     lambda: step(intra, TripleBatch([(2, 0, 1)], [(0, 0, bad)])),
+                     lambda: step(cg_loss, PairBatch([(bad, 0)])),
+                     lambda: step(cg_loss, PairBatch([(0, 1)], [bad])),
+                     lambda: step(ct_loss, PairBatch([(0, bad)], [1])),
+                     lambda: step(ct_loss, PairBatch([(0, 1)], [bad])),
+                     lambda: step(ha_loss, PairBatch([(bad, 1)], [2])),
+                     lambda: step(ha_loss, PairBatch([(0, 1)], [bad])),
+                     lambda: TripleStore([(bad, 0, 1)]),
+                     lambda: CrossLinkStore([(0, bad)])):
+            with pytest.raises(TwoViewError, match="non-negative integer ids"):
+                call()
+        assert state.step == 0
+        for (name, a), (_, b) in zip(params.blocks(), before.blocks()):
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_pull_only_cg_only_without_negatives(self):
+        """``cg_loss`` reads its form off the batch; CT and HA need negatives."""
+        params = _random_params(np.random.default_rng(1), with_ct=True, with_ha=True)
+        pos = [(0, 1), (2, 3)]
+        plain = cg_loss(PairBatch(pos), 0.1, params)[0]
+        assert plain == loss_value(cg_loss, PairBatch(pos), 0.1, params)
+        assert plain != cg_loss(PairBatch(pos, [4, 5]), 0.1, params)[0]
+        for loss in (ct_loss, ha_loss):
+            with pytest.raises(TwoViewError, match="requires negative concepts"):
+                loss(PairBatch(pos), 0.1, params)
 
 
 def _loss_cases(params, triples, pairs, margin):
@@ -440,8 +483,8 @@ def _loss_cases(params, triples, pairs, margin):
     for kind in ScorerKind:
         for view in ("instance", "ontology"):
             yield intra_hinge_loss, (kind, triples(kind), margin, params, view)
-    yield cg_loss, (pairs("cg-plain"), margin, False, params)
-    yield cg_loss, (pairs("cg-sampled"), margin, True, params)
+    yield cg_loss, (PairBatch(pairs("cg-plain").pos), margin, params)
+    yield cg_loss, (pairs("cg-sampled"), margin, params)
     yield ct_loss, (pairs("ct"), margin, params)
     yield ha_loss, (pairs("ha"), margin, params)
 

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -169,8 +170,8 @@ class TestAmsgradStep:
         state = OptimizerState.init(params)
         before = params.ct_map.W.copy()
         grads = GradAccum()
-        grads.add_map("ct", np.ones_like(params.ct_map.W),
-                      np.ones_like(params.ct_map.b))
+        grads.add_rows("ct_W", ..., np.ones_like(params.ct_map.W))
+        grads.add_rows("ct_b", ..., np.ones_like(params.ct_map.b))
         amsgrad_step(params, state, grads, 0.01)
         assert not np.array_equal(params.ct_map.W, before)
 
@@ -395,6 +396,45 @@ class TestTrain:
         _, history = train(data, model, cfg)
         assert history[-1].cross_loss >= 0.0
         assert history[-1].n_cross == len(data.links_train)
+
+    def test_ct_without_negative_sampling_rejected(self, synth_data):
+        """The library path refuses what ``load_config`` refuses, where it
+        used to train CT with negatives all the same."""
+        _, _, data = synth_data
+        model = ModelConfig.from_variant("TransE-CT", 16, 8)
+        with pytest.raises(ConfigError, match="CT loss is defined with negatives"):
+            train(data, model, quick_config(cross_negative_sampling=False))
+
+def _python_calls_per_epoch(data, variant, batch):
+    """Python-level calls (``sys.setprofile`` call events) in one
+    ``train_epoch``, after a warm-up epoch, with every source's batch size
+    ``batch``."""
+    model = ModelConfig.from_variant(variant, 16, 16 if variant.endswith("CG") else 8)
+    config = quick_config(batch_instance=batch, batch_ontology=batch,
+                          batch_cross=batch, batch_hierarchy=batch)
+    params = ModelParams.init(model, len(data.entities), len(data.relations),
+                              len(data.concepts), len(data.meta_relations),
+                              np.random.default_rng(0))
+    state, rng = OptimizerState.init(params), np.random.default_rng(1)
+    train_epoch(params, state, data, model, config, rng)
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(1))
+    try:
+        train_epoch(params, state, data, model, config, rng)
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the block sampler still hands each store member and "
+                          "Lemire redraw to the per-positive sampler")
+@pytest.mark.parametrize("variant", ["TransE-CT", "TransE-CG"])
+def test_python_calls_per_epoch_are_per_batch(synth_data, variant):
+    """Four times the batch size, at least a third of the Python calls: an
+    epoch's Python work is per batch, none of it per positive."""
+    small, large = (_python_calls_per_epoch(synth_data[2], variant, b) for b in (64, 256))
+    assert small >= 3 * large, (small, large)
 
 
 def _one_by_one(pos, store, node_count, rng, stats):
