@@ -94,9 +94,9 @@ class Triple(NamedTuple):
 
 
 def _as_rows(items, width: int | None) -> np.ndarray:
-    """``items`` (an array, or an iterable of id rows) as an owned int64
-    (n, width) array of non-negative integer ids; with ``width`` None, an
-    iterable of ids as an (n,) array.  Anything else, a float or negative
+    """``items`` (an array, or an iterable of id rows) as an owned, read-only
+    int64 (n, width) array of non-negative integer ids; with ``width`` None,
+    an iterable of ids as an (n,) array.  Anything else, a float or negative
     id or a row of another length among them, raises ``TwoViewError``."""
     try:
         rows = np.array(items if isinstance(items, np.ndarray) else list(items))
@@ -108,7 +108,9 @@ def _as_rows(items, width: int | None) -> np.ndarray:
             or rows.astype(np.int64, copy=False).min(initial=0) < 0):  # a uint >= 2**63 too
         raise TwoViewError(f"expected {f'rows of {width} ' if width else ''}"
                            f"non-negative integer ids, got {items!r:.80}")
-    return rows.astype(np.int64, copy=False)
+    rows = rows.astype(np.int64, copy=False)
+    rows.flags.writeable = False
+    return rows
 
 
 def _field_bits(rows: np.ndarray) -> tuple[int, ...]:
@@ -152,9 +154,14 @@ class _IdRows:
         self.duplicates_dropped = len(rows) - len(first)
 
     def contains_rows(self, rows) -> np.ndarray:
-        """Whether each (m, k) id row of ``rows`` is in the store, as an
-        (m,) bool array."""
-        rows = np.asarray(rows, np.int64).reshape(-1, self.WIDTH)
+        """Whether each (m, k) id row of ``rows``, or the one (k,) row, is in
+        the store, as an (m,) bool array.  Rows of another dtype than
+        integer or of another shape raise ``TwoViewError``."""
+        rows = np.asarray(rows)
+        if rows.dtype.kind not in "iu" or rows.shape[-1:] != (self.WIDTH,) or rows.ndim > 2:
+            raise TwoViewError(f"expected integer id rows of {self.WIDTH}, got "
+                               f"{rows.dtype} {rows.shape}")
+        rows = rows.astype(np.int64, copy=False).reshape(-1, self.WIDTH)
         if self._keys is None:
             self._keys = np.sort(_pack(self.rows, self._bits))
         inside = (rows >> self._bits == 0).all(axis=1)

@@ -174,15 +174,18 @@ def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def project_rows_unit_norm(table: np.ndarray, rows: np.ndarray | list[int]) -> None:
-    """In-place unit-norm projection of the selected rows of an embedding table."""
+    """In-place unit-norm projection of the selected rows of an embedding
+    table, in float64: each row divided by sqrt of its ``add.reduce``d
+    squares (``np.linalg.norm(axis=1)`` without its ``conj`` copy)."""
     rows = np.asarray(rows, dtype=np.intp)
     if rows.size == 0:
         return
-    block = table[rows].astype(np.float64, copy=False)
-    norms = np.linalg.norm(block, axis=1)
+    block = table[rows].astype(np.float64, copy=False)   # a copy either way
+    norms = np.sqrt(np.add.reduce(block * block, axis=1))
     if np.any(norms == 0.0):
         raise TwoViewError("cannot normalize a zero embedding row")
-    table[rows] = (block / norms[:, None]).astype(table.dtype)
+    block /= norms[:, None]
+    table[rows] = block
 
 
 def finite_diff_check(loss_fn, grad: np.ndarray, point: np.ndarray,

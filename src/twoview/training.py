@@ -63,6 +63,10 @@ class OptimizerState:
 # rows of these tables are projected back to the unit sphere after each step
 _NORM_CONSTRAINED = ("entities", "concepts")
 
+# elements per row tile of a table step: a tile's m, v, vhat, gradient and
+# parameter rows stay in a 2 MiB L2 cache through the step's passes
+TILE_ELEMENTS = 1 << 15
+
 
 def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
                  rate: float) -> None:
@@ -73,7 +77,11 @@ def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
     gradient entry are touched: m <- b1*m + (1-b1)*g, v <- b2*v +
     (1-b2)*g^2, vhat <- max(vhat, v), theta <- theta - rate * m /
     (sqrt(vhat) + eps).  Touched entity/concept rows are then projected back
-    to unit norm; everything else is left bitwise unchanged.
+    to unit norm; everything else is left bitwise unchanged.  A table block
+    is applied in consecutive tiles of ``TILE_ELEMENTS // d`` rows, each
+    updated and then projected; its row ids are distinct and every pass is
+    elementwise or per row, so a row's bytes do not depend on its tile.  A
+    dense map block is one tile.
     """
     arrays = dict(params.blocks())
     steps = [(name, idx, g.astype(arrays[name].dtype, copy=False))
@@ -84,9 +92,12 @@ def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
             raise TwoViewError(f"non-finite gradient for {name}" + (
                 "" if idx is ... else f" row {idx[np.argmin(finite)]}"))
     for name, idx, g in steps:
-        _amsgrad(arrays[name], state.moments[name], idx, g, rate)
-        if name in _NORM_CONSTRAINED:
-            project_rows_unit_norm(arrays[name], idx)
+        n = len(g) if idx is ... else max(1, TILE_ELEMENTS // g.shape[1])
+        for s in range(0, len(g), n):
+            tile = idx if idx is ... else idx[s:s + n]
+            _amsgrad(arrays[name], state.moments[name], tile, g[s:s + n], rate)
+            if name in _NORM_CONSTRAINED:
+                project_rows_unit_norm(arrays[name], tile)
     state.step += 1
 
 
@@ -95,8 +106,9 @@ def _amsgrad(arr: np.ndarray, mom: _Moments, idx, g: np.ndarray, rate: float) ->
     the order b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g, rate*m / (sqrt(vhat) + eps)."""
     m, v = mom.m[idx], mom.v[idx]                   # views when idx is ...
     m *= BETA1
-    m += (1.0 - BETA1) * g
-    t = (1.0 - BETA2) * g
+    t = np.multiply(1.0 - BETA1, g)                 # the one temporary
+    m += t
+    np.multiply(1.0 - BETA2, g, out=t)
     t *= g
     v *= BETA2
     v += t
@@ -104,7 +116,7 @@ def _amsgrad(arr: np.ndarray, mom: _Moments, idx, g: np.ndarray, rate: float) ->
     mom.m[idx], mom.v[idx], mom.vhat[idx] = m, v, vhat
     step = np.sqrt(vhat, out=vhat)                  # vhat is written back
     step += EPS
-    arr[idx] -= np.divide(rate * m, step, out=step)
+    arr[idx] -= np.divide(np.multiply(rate, m, out=t), step, out=step)
 
 
 @dataclass(frozen=True)

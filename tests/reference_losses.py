@@ -6,9 +6,11 @@ keyed by (table, row id), the way the losses were computed before they were
 batched.  Each returns the same (loss, GradAccum) as the batched loss of the
 same name in ``twoview.objectives``.
 
-``merge`` and ``amsgrad`` are the earlier forms of ``objectives._merge``
-(one row-wise ``np.add.at``) and ``training._amsgrad`` (one expression per
-moment and for the step), which the current forms match bitwise.
+``merge``, ``amsgrad`` and ``project`` are the earlier forms of
+``objectives._merge`` (one row-wise ``np.add.at``), ``training._amsgrad``
+(one expression per moment and for the step, over the whole block) and
+``tensor_ops.project_rows_unit_norm`` (``np.linalg.norm``), which the
+current forms match bitwise.
 """
 
 import numpy as np
@@ -44,6 +46,14 @@ def amsgrad(arr, mom, idx, g, rate):
     vhat = np.maximum(mom.vhat[idx], v)
     mom.m[idx], mom.v[idx], mom.vhat[idx] = m, v, vhat
     arr[idx] -= (rate * m / (np.sqrt(vhat) + EPS)).astype(arr.dtype)
+
+
+def project(table, rows):
+    """``tensor_ops.project_rows_unit_norm`` through ``np.linalg.norm``, a
+    new quotient and ``astype``."""
+    block = table[rows].astype(np.float64, copy=False)
+    norms = np.linalg.norm(block, axis=1)
+    table[rows] = (block / norms[:, None]).astype(table.dtype)
 
 
 class _Rows:

@@ -232,6 +232,24 @@ def test_contains_rows_agrees_with_in(cls, width, size):
 
 @pytest.mark.parametrize("cls, width", [(TripleStore, 3), (CrossLinkStore, 2),
                                          (HierarchyStore, 2)])
+def test_contains_rows_refuses_what_the_gate_refuses(cls, width):
+    """Float ids and rows of another shape raise; they once answered as
+    the truncated ids, or split into rows of ``WIDTH``.  One (WIDTH,) row
+    and other integer dtypes are asked about like (1, WIDTH) int64 rows."""
+    row = list(range(1, width + 1))
+    store = cls([row])
+    for bad in ([[x + 0.5 for x in row]], np.array([row], np.float32), [row * 2],
+                [row[:-1]], [[row]], row[0], np.array(["1"] * width)):
+        with pytest.raises(TwoViewError, match=f"integer id rows of {width}"):
+            store.contains_rows(bad)
+    assert store.contains_rows(row).tolist() == [True]
+    for dtype in (np.int32, np.uint8, np.uint64):
+        assert store.contains_rows(np.array([row, [0] * width], dtype)).tolist() == [True, False]
+    assert store.contains_rows(np.array([[2**64 - 1] * width], np.uint64)).tolist() == [False]
+
+
+@pytest.mark.parametrize("cls, width", [(TripleStore, 3), (CrossLinkStore, 2),
+                                         (HierarchyStore, 2)])
 def test_in_answers_like_a_set_of_id_tuples(cls, width):
     """A key that the stores' id gate refuses is not a member: a longer or
     shorter row, a float or negative id, a name, a bare id or ``None``."""

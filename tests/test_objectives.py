@@ -465,6 +465,19 @@ class TestIdGate:
         for (name, a), (_, b) in zip(params.blocks(), before.blocks()):
             assert a.tobytes() == b.tobytes(), name
 
+    def test_batch_ids_are_read_only(self):
+        """The gate's arrays are the batch's own and cannot be written, so
+        a -1 cannot be put into a batch after the gate either."""
+        src = np.array([[0, 1, 2]])
+        triples = TripleBatch(src, [(1, 1, 2)])
+        pairs = PairBatch([(0, 1)], np.array([2]))
+        for ids in (triples.pos, triples.neg, pairs.pos, pairs.neg_second):
+            assert not ids.flags.writeable and ids.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                ids[0] = -1
+        src[0, 0] = 5
+        assert triples.pos.tolist() == [[0, 1, 2]]
+
     def test_pull_only_cg_only_without_negatives(self):
         """``cg_loss`` reads its form off the batch; CT and HA need negatives."""
         params = _random_params(np.random.default_rng(1), with_ct=True, with_ha=True)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference_losses
 from twoview.errors import TwoViewError
 from twoview.tensor_ops import (AffineMap, affine_tanh, affine_tanh_pinv,
                                 circ_convolution, circ_correlation,
@@ -304,6 +305,18 @@ class TestProjectUnitNorm:
         assert np.array_equal(table[2], before[2])
         assert np.array_equal(table[4], before[4])
         assert abs(np.linalg.norm(table[1].astype(np.float64)) - 1) < 1e-6
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_linalg_norm_projection(self, rng, dtype):
+        """The ``add.reduce`` norm and in-place quotient give the bytes of
+        ``np.linalg.norm``, a new quotient and ``astype``."""
+        table = (rng.normal(size=(400, 300)) * rng.uniform(1e-3, 1e3, (400, 1))).astype(dtype)
+        rows = rng.permutation(400)[:250]
+        want = table.copy()
+        reference_losses.project(want, rows)
+        project_rows_unit_norm(table, rows)
+        assert table.dtype == dtype and table.tobytes() == want.tobytes()
 
 
 class TestFiniteDiffCheck:

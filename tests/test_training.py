@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import reference_losses
 from twoview import objectives, training
 from twoview.dataio import prepare_splits
 from twoview.errors import ConfigError, TwoViewError
@@ -164,6 +165,57 @@ class TestAmsgradStep:
         assert np.array_equal(params.entities, before.entities)
         assert np.array_equal(params.relations, before.relations)
         assert not state.moments["entities"].m.any() and state.step == 0
+
+    @staticmethod
+    def _wide_step(seed):
+        """A d_e = 300 parameter set and a gradient whose entities block
+        spans several tiles (the last one short), its ids shuffled, with a
+        concepts block beside it."""
+        rng = np.random.default_rng(seed)
+        config = ModelConfig(intra=ScorerKind.TRANSLATIONAL, cross="CT",
+                             hierarchy_aware=False, d_e=300, d_c=50)
+        params = ModelParams.init(config, 1500, 3, 60, 2, rng)
+        grads = GradAccum()
+        ids = rng.permutation(1500)[:1200]
+        assert 1200 % (training.TILE_ELEMENTS // 300) and 1200 > training.TILE_ELEMENTS // 300
+        grads.add_rows("entities", ids, rng.normal(size=(1200, 300)).astype(np.float32))
+        grads.add_rows("concepts", rng.permutation(60)[:45],
+                       rng.normal(size=(45, 50)).astype(np.float32))
+        return params, grads
+
+    def test_tiled_step_bytes_equal_one_shot_reference(self):
+        """Three tiled steps leave the same parameter and moment bytes as
+        the one-expression AMSGrad over each whole block followed by the
+        ``np.linalg.norm`` projection."""
+        params, _ = self._wide_step(0)
+        ref = params.copy()
+        state, ref_state = OptimizerState.init(params), OptimizerState.init(params)
+        for seed, scale in ((1, 1.0), (2, 0.01), (3, 3.0)):   # vhat kept, then raised
+            _, grads = self._wide_step(seed)
+            for _, g in grads.blocks.values():
+                g *= scale
+            amsgrad_step(params, state, grads, 0.01)
+            arrays = dict(ref.blocks())
+            for name, (ids, g) in grads.blocks.items():
+                reference_losses.amsgrad(arrays[name], ref_state.moments[name], ids, g, 0.01)
+                reference_losses.project(arrays[name], ids)
+        for (name, got), (_, want) in zip(params.blocks(), ref.blocks()):
+            assert got.tobytes() == want.tobytes(), name
+            for k in ("m", "v", "vhat"):
+                assert (getattr(state.moments[name], k).tobytes()
+                        == getattr(ref_state.moments[name], k).tobytes()), (name, k)
+
+    def test_nonfinite_row_in_last_tile_writes_nothing(self):
+        params, grads = self._wide_step(4)
+        ids, g = grads.blocks["entities"]
+        g[-1, 7] = np.inf
+        before, state = params.copy(), OptimizerState.init(params)
+        with pytest.raises(TwoViewError, match=f"entities row {ids[-1]}$"):
+            amsgrad_step(params, state, grads, 0.01)
+        for (name, got), (_, want) in zip(params.blocks(), before.blocks()):
+            assert np.array_equal(got, want), name
+        assert not any(a.any() for mom in state.moments.values() for a in vars(mom).values())
+        assert state.step == 0
 
     def test_map_update(self):
         params = small_params()
