@@ -210,7 +210,7 @@ def _pair_probe(params: ModelParams, rng, mode: str, margin=0.5, batch_size=3):
 def check_cross_gradients(mode: str, n_probes: int = 50, seed: int = 0) -> float:
     """Finite-difference gate for the CG (both modes), CT and HA losses."""
     if mode not in ("cg-plain", "cg-sampled", "ct", "ha"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ConfigError(f"unknown mode {mode!r}")
 
     def probe(rng):
         params = _random_params(rng, with_ct=(mode == "ct"), with_ha=(mode == "ha"))
@@ -225,10 +225,10 @@ def check_cross_gradients(mode: str, n_probes: int = 50, seed: int = 0) -> float
 # Norm audit and correlation comparison
 
 def norm_drift(params: ModelParams) -> float:
-    """Max |norm - 1| over entity and concept rows."""
+    """Max |norm - 1| over the rows of the unit-norm tables."""
     worst = 0.0
-    for table in (params.entities, params.concepts):
-        norms = np.linalg.norm(table.astype(np.float64), axis=1)
+    for name in params.UNIT_NORM:
+        norms = np.linalg.norm(params.table(name).astype(np.float64), axis=1)
         worst = max(worst, float(np.max(np.abs(norms - 1.0))))
     return worst
 

@@ -8,10 +8,12 @@ nor pessimistically.  ``_top_k`` lists the best candidates, ties by
 ascending id.  ``_rank_block`` ranks a block of at most ``BLOCK_ELEMENTS``
 query x candidate scores from one matmul, filtered through one ``_index``:
 per direction for triple completion; typing is the translational tail
-query (the entity's image, a zero relation, the concepts).  Translational
-and multiplicative ranks and ``top_tails`` lists equal ``rank_candidates``
-over ``score`` (``concept_distances`` for typing) exactly: the candidates
-within a rounding window are re-scored by one such call per block over
+query (the entity's image, a zero relation, the concepts).  The batched
+scores and their rounding window both come from ``scoring``, which forms
+each scorer's query rows once.  Translational and multiplicative ranks and
+``top_tails`` lists equal ``rank_candidates`` over ``score``
+(``concept_distances`` for typing) exactly: the candidates within
+``rank_slack``'s window are re-scored by one such call per block over
 gathered rows.  Correlational ones come from the batched scores and may be
 one off on ulp-close ties.
 """
@@ -27,7 +29,8 @@ import numpy as np
 from .errors import ConfigError, EvalError
 from .kb import CrossLinkStore, TripleStore
 from .model import VIEW_TABLES, CrossKind, ModelConfig, ModelParams
-from .scoring import ScorerKind, score, score_all_heads, score_all_tails
+from .scoring import (ScorerKind, rank_slack, score, score_all_heads,
+                      score_all_tails)
 from .tensor_ops import AffineMap, affine_tanh, affine_tanh_pinv
 
 
@@ -98,7 +101,7 @@ def _rank(fast: np.ndarray, gold, drop, width: np.ndarray | None = None,
     Without ``width`` the ranks are read off ``fast``.  With ``width[i]``
     such that every candidate c with |fast[i, c] - fast[i, gold]| >
     width[i] is ordered against the gold by ``fast`` as by ``score``
-    (``_slack``), the gold and every candidate inside the window are
+    (``rank_slack``), the gold and every candidate inside the window are
     re-scored in one call ``exact(rows, candidates)``, which scores the
     pairs of two index arrays as ``score`` does, and the ranks equal
     ``rank_candidates`` over ``score``.  ``fast`` is overwritten: the
@@ -150,86 +153,6 @@ def _max_norm(table: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("ij,ij->i", table, table).max()))
 
 
-def _slack(kind: ScorerKind, anchor: np.ndarray, r: np.ndarray, heads: bool,
-           max_norm: float, gold_fast: np.ndarray) -> np.ndarray | None:
-    """``_rank``'s window half-width for each query row fixing ``anchor[i]``
-    (the head, or the tail if ``heads``) and ``r[i]``, whose gold answer has
-    the batched score ``gold_fast[i]``; ``max_norm`` bounds every candidate
-    row's norm.  Correlational scores are ranked as they are (None).
-    Typing is the translational tail case with r = 0: q = fl(p + 0) = p, and
-    ``concept_distances`` computes fl(||fl(x_c - p)||) as ``score`` does.
-
-    With d the dimension, u the unit roundoff and gamma_m = m u / (1 - m u),
-    a sum of m terms each rounded once is off by at most gamma_m times the
-    sum of |terms|.  e(c) bounds |fast(c) - score(c)| for a candidate c.
-    * Multiplicative: both paths round one product per element and sum d
-      terms, so e(c) <= 2 gamma_{d+1} sum_k |a_k r_k t_k|, which by
-      Cauchy-Schwarz is at most 2 gamma_{d+1} ||anchor o r|| max_norm = A
-      for every c, and the window is 2 A.  gamma_{d+3} / (1 - gamma_{d+3})
-      stands for gamma_{d+1}: the spare terms cover the rounding of
-      max_norm and of the bound itself.
-    * Translational: q = fl(h + r) for tails, fl(t - r) for heads; delta =
-      ||q - x_c|| for the candidate row x_c, sigma = sqrt(max(0, s2)) with
-      s2 the computed |q|^2 + |x_c|^2 - 2 q.x_c, and s = -fast(c) =
-      fl(sigma).  The three length-d sums and two additions give |s2 -
-      delta^2| <= gamma_{d+2} (||q|| + max_norm)^2 = E, and then |sigma -
-      delta| = |s2 - delta^2| / (sigma + delta) <= min(sqrt(E), E / sigma)
-      (clamping at 0 only narrows the gap), which is at most P(s) =
-      min(sqrt(E), E (1 + u) / s).  The final square root adds u sigma.
-      ``score`` computes fl(||fl(fl(h + r) - t)||), within gamma_{d+3} of
-      its own exact distance delta', and delta' = delta for tails.  For
-      heads fl(t - r) and fl(h + r) move delta' from delta by at most
-      u (delta + ||t|| + ||t - r||) plus second-order terms.  With delta <=
-      s / (1 - u) + sqrt(E) this gives e(c) <= P(s) + k s + B, where k =
-      gamma_{d+5} / (1 - u) and B = gamma_{d+5} sqrt(E), plus gamma_2
-      (||t|| + ||t - r||) for heads.
-      Window: with s_g the gold's s and e_g = e(gold), let W = c (e_g +
-      k s_g + B + P(max(0, s_g - W0))), W0 = c (e_g + k s_g + B + sqrt(E))
-      and c = 1 / (1 - k), so W <= W0.  A candidate with s > s_g + W has
-      e(c) <= P(s_g) + k s + B and s (1 - k) > s_g + e_g + P(s_g) + B, so
-      s - s_g > e(c) + e_g.  One with s < s_g - W has e(c) <= P(s) + k s_g
-      + B, and s_g - s - P(s) decreases in s (P is constant, then falls
-      with slope above -1), so s_g - s - P(s) > W - P(s_g - W0) >= e_g + k
-      s_g + B.  Either way |fast(c) - fast(gold)| > e(c) + e_g orders c
-      against the gold as ``score`` does.
-    Every bound is scaled by 1 + 2**-10.  That covers the second-order
-    terms (O(d u) relative), the rounding of max_norm and of the bound in
-    float64, and gradual underflow, whose absolute error (d + 2) times the
-    smallest subnormal is far below E for rows of any usable norm.
-    """
-    u = np.finfo(anchor.dtype).eps / 2
-    d = anchor.shape[1]
-    spare = 1 + 2.0 ** -10
-
-    def gamma(m):
-        return m * u / (1 - m * u)
-
-    a, r = anchor.astype(np.float64), r.astype(np.float64)
-    if kind is ScorerKind.MULTIPLICATIVE:
-        rel = 2 * gamma(d + 3) / (1 - gamma(d + 3))
-        return 2 * rel * np.linalg.norm(a * r, axis=1) * max_norm * spare
-    if kind is not ScorerKind.TRANSLATIONAL:
-        return None
-    q = (anchor - r if heads else anchor + r).astype(np.float64)
-    q_norm = np.linalg.norm(q, axis=1)
-    e2 = gamma(d + 2) * (q_norm + max_norm) ** 2
-    root = np.sqrt(e2)
-    k = gamma(d + 5) / (1 - u)
-    b = gamma(d + 5) * root
-    if heads:
-        b += gamma(2) * (q_norm + np.linalg.norm(a, axis=1))
-
-    def p(s):
-        over = np.divide(e2 * (1 + u), s, out=np.full_like(s, np.inf), where=s > 0)
-        return np.minimum(root, over)
-
-    s = -gold_fast.astype(np.float64)
-    c = spare / (1 - k)
-    e_g = p(s) + k * s + b
-    w0 = c * (e_g + k * s + b + root)
-    return c * (e_g + k * s + b + p(np.maximum(s - w0, 0.0)))
-
-
 def _aggregate(task: str, ranks: list[int], ks=(1, 3, 10), **kw) -> EvalReport:
     n = len(ranks)
     mrr = sum(1.0 / r for r in ranks) / n
@@ -262,7 +185,7 @@ def _rank_block(kind: ScorerKind, heads: bool, anchor_rows: np.ndarray,
     of ``table`` (row norms at most ``max_norm``) by one ``score_all_*``."""
     fast = (score_all_heads(kind, table, rel_rows, anchor_rows) if heads
             else score_all_tails(kind, anchor_rows, rel_rows, table))
-    width = _slack(kind, anchor_rows, rel_rows, heads, max_norm,
+    width = rank_slack(kind, anchor_rows, rel_rows, heads, max_norm,
                    fast[np.arange(len(gold)), gold])
     del anchor_rows, rel_rows   # not alive while ``exact`` gathers rows
     return _rank(fast, gold, drop, width, exact)
@@ -324,7 +247,7 @@ def top_tails(params: ModelParams, kind: ScorerKind, head: int, relation: int,
     ``filter_store``.
 
     Translational and multiplicative lists are exact: the k listed by the
-    batched scores and every kept candidate within ``_slack``'s window of
+    batched scores and every kept candidate within ``rank_slack``'s window of
     the k-th are re-scored with ``score``, which orders them and gives the
     listed scores.  Any other candidate is below all k listed ones.
     """
@@ -334,7 +257,7 @@ def top_tails(params: ModelParams, kind: ScorerKind, head: int, relation: int,
     kept = np.ones(len(fast), dtype=bool)
     kept[ft[(fh == head) & (fr == relation)]] = False
     listed = _top_k(fast, k, kept)
-    width = _slack(kind, nodes[[head]], edges[[relation]], False,
+    width = rank_slack(kind, nodes[[head]], edges[[relation]], False,
                    _max_norm(nodes), fast[listed[-1:]]) if listed else None
     if width is None:
         return [(c, float(fast[c])) for c in listed]
@@ -380,7 +303,10 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
     the gold, are filtered from the candidates.  A block of ``BLOCK_ELEMENTS
     // n_c`` links is mapped by one ``affine_tanh`` call and scored by one
     ``score_all_tails`` call; the window is re-scored by one
-    ``concept_distances`` call, so ranks equal ``rank_candidates`` over it.
+    ``concept_distances`` call, so ranks equal ``rank_candidates`` over it:
+    with r = 0 the query row is fl(p + 0) = p for the image p, and
+    ``concept_distances`` computes fl(||fl(x_c - p)||) as ``score`` does, so
+    ``rank_slack``'s translational tail bound holds.
     """
     if len(test_links) == 0:
         raise EvalError("test link store is empty")

@@ -97,9 +97,10 @@ def map_blocks(name: str) -> tuple[str, str]:
 class ModelParams:
     """All trainable arrays.
 
-    Entity and concept rows are kept at unit L2 norm throughout training;
-    relation and meta-relation rows are unconstrained.  The affine maps are
-    present only for the variants that use them.
+    Rows of the ``UNIT_NORM`` tables, entities and concepts, are kept at unit
+    L2 norm throughout training; relation and meta-relation rows are
+    unconstrained.  The affine maps are present only for the variants that
+    use them.
     """
 
     entities: np.ndarray        # (n_e, d_e)
@@ -110,6 +111,7 @@ class ModelParams:
     ha_map: AffineMap | None = None
 
     TABLES = VOCABS
+    UNIT_NORM = ("entities", "concepts")
 
     def table(self, name: str) -> np.ndarray:
         if name not in self.TABLES:

@@ -60,9 +60,6 @@ class OptimizerState:
         return cls({name: _Moments.like(arr) for name, arr in params.blocks()})
 
 
-# rows of these tables are projected back to the unit sphere after each step
-_NORM_CONSTRAINED = ("entities", "concepts")
-
 # elements per row tile of a table step: a tile's m, v, vhat, gradient and
 # parameter rows stay in a 2 MiB L2 cache through the step's passes
 TILE_ELEMENTS = 1 << 15
@@ -96,7 +93,7 @@ def amsgrad_step(params: ModelParams, state: OptimizerState, grads: GradAccum,
         for s in range(0, len(g), n):
             tile = idx if idx is ... else idx[s:s + n]
             _amsgrad(arrays[name], state.moments[name], tile, g[s:s + n], rate)
-            if name in _NORM_CONSTRAINED:
+            if name in params.UNIT_NORM:
                 project_rows_unit_norm(arrays[name], tile)
     state.step += 1
 

@@ -16,7 +16,8 @@ from twoview.evaluation import (EvalReport, concept_distances,
                                 typing_scores)
 from twoview.kb import CrossLinkStore, SplitSpec, Triple, TripleStore
 from twoview.model import ModelConfig, ModelParams
-from twoview.scoring import ScorerKind, score, score_all_heads, score_all_tails
+from twoview.scoring import (ScorerKind, rank_slack, score, score_all_heads,
+                             score_all_tails)
 from twoview.synth import random_kb
 from twoview.tensor_ops import affine_tanh, init_unit_sphere
 
@@ -225,7 +226,7 @@ def plant_cancelling_terms(nodes, edges, h, r, rows, rng):
     the other half negative and scaled to balance.  Float32 rounding then
     uses a large share of gamma * sum |terms|.  Returns the row that the
     batched scores misplace by the most candidates lying farther than 1e-3
-    of ``_slack``'s window from it."""
+    of ``rank_slack``'s window from it."""
     kind = ScorerKind.MULTIPLICATIVE
     d = nodes.shape[1]
     v = nodes[h].astype(np.float64) * edges[r]
@@ -237,8 +238,8 @@ def plant_cancelling_terms(nodes, edges, h, r, rows, rng):
         nodes[c] = t / np.linalg.norm(t)
     fast = score_all_tails(kind, nodes[h], edges[r], nodes).astype(np.float64)
     exact = np.array([score(kind, nodes[h], edges[r], row) for row in nodes])
-    width = evaluation._slack(kind, nodes[[h]], edges[[r]], False,
-                              evaluation._max_norm(nodes), fast[[0]])[0]
+    width = rank_slack(kind, nodes[[h]], edges[[r]], False,
+                       evaluation._max_norm(nodes), fast[[0]])[0]
 
     def misplaced(g):
         far = np.abs(fast - fast[g]) > 1e-3 * width
@@ -290,6 +291,35 @@ def test_float32_ranks_exact_where_query_meets_candidates(kind, cancelling):
         scores = {c: score(kind, nodes[c], edges[r], nodes[t]) for c in range(n)}
         oracle.append(rank_candidates(scores, h))
     assert rep.ranks == oracle
+
+
+def test_float32_head_ranks_exact_where_terms_cancel():
+    """The heads mirror of the cancelling Mult case: for a fixed (r, t),
+    each gold head and 150 other rows get terms h_k r_k t_k that cancel.
+    Mult is symmetric in h and t, so ``plant_cancelling_terms`` anchored at
+    t plants them, and the head window is read off the query row t o r.
+    Head ranks must equal ``rank_candidates`` over ``score``; they do not
+    when the Mult window is cut to 1e-3 of its bound."""
+    kind = ScorerKind.MULTIPLICATIVE
+    rng = np.random.default_rng(61)
+    n, d, n_r, n_q = 1000, 300, 4, 4
+    nodes = init_unit_sphere(n, d, rng, np.float32)
+    edges = (0.3 * init_unit_sphere(n_r, d, rng, np.float32)).astype(np.float32)
+    ids = rng.permutation(n).tolist()
+    queries = []
+    for i in range(n_q):
+        t, r = ids[i], int(rng.integers(n_r))
+        rows = ids[n_q + 150 * i:n_q + 150 * (i + 1)]
+        queries.append(Triple(plant_cancelling_terms(nodes, edges, t, r, rows, rng),
+                              r, t))
+    params = ModelParams(entities=nodes, relations=edges,
+                         concepts=np.zeros((1, 4), np.float32),
+                         meta_relations=np.zeros((1, 4), np.float32))
+    rep = triple_completion_eval(params, kind, TripleStore(queries), [],
+                                 direction="both")
+    oracle = [rank_candidates({c: score(kind, nodes[c], edges[r], nodes[t])
+                               for c in range(n)}, h) for h, r, t in queries]
+    assert rep.ranks[1::2] == oracle
 
 
 @pytest.mark.parametrize("kind", [ScorerKind.TRANSLATIONAL,

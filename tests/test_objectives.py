@@ -180,6 +180,10 @@ class TestCgLoss:
         assert check_cross_gradients("cg-plain", n_probes=50, seed=0) < 1e-4
         assert check_cross_gradients("cg-sampled", n_probes=50, seed=0) < 1e-4
 
+    def test_gradient_gate_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="unknown mode"):
+            check_cross_gradients("cg", n_probes=1)
+
 
 class TestCtLoss:
     def test_perfect_projection_distant_negative(self):
