@@ -6,13 +6,13 @@ unfiltered candidates, resolving ties mid-rank: rank = 1 + #better +
 ceil(#tied / 2), which is deterministic and biases neither optimistically
 nor pessimistically.  ``_top_k`` lists the best candidates, ties by
 ascending id.  ``_rank_block`` ranks a block of at most ``BLOCK_ELEMENTS``
-query x candidate scores from one matmul, filtered through one ``_index``:
-per direction for triple completion; typing is the translational tail
-query (the entity's image, a zero relation, the concepts).  The batched
-scores and their rounding window both come from ``scoring``, which forms
-each scorer's query rows once.  Translational and multiplicative ranks and
-``top_tails`` lists equal ``rank_candidates`` over ``score``
-(``concept_distances`` for typing) exactly: the candidates within
+query x candidate scores from one matmul, per direction for triple
+completion, filtered through the filter stores' own ``lookup``; typing is
+the translational tail query (the entity's image, a zero relation, the
+concepts).  The batched scores and their rounding window both come from
+``scoring``, which forms each scorer's query rows once.  Translational and
+multiplicative ranks and ``top_tails`` lists equal ``rank_candidates`` over
+``score`` (``concept_distances`` for typing) exactly: the candidates within
 ``rank_slack``'s window are re-scored by one such call per block over
 gathered rows.  Correlational ones come from the batched scores and may be
 one off on ulp-close ties.
@@ -144,7 +144,7 @@ def _top_k(scores: np.ndarray, k: int | None = None,
     ``kept`` marks (default: all), best first, ties by ascending id."""
     if k is not None and k < 1:
         raise EvalError(f"k must be at least 1, got {k}")
-    ids = np.argsort(-scores, kind="stable")
+    ids = np.lexsort((-scores,))                    # stable: ties by ascending id
     return (ids if kept is None else ids[kept[ids]])[:k].tolist()
 
 
@@ -161,20 +161,12 @@ def _aggregate(task: str, ranks: list[int], ks=(1, 3, 10), **kw) -> EvalReport:
                       ranks=list(ranks), **kw)
 
 
-def _index(keys: np.ndarray, values: np.ndarray):
-    """``values`` filed under ``keys``, sorted by key as ``_lookup`` reads."""
-    order = np.argsort(keys)
-    return keys[order], values[order]
-
-
-def _lookup(index, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, value) of every entry of ``index`` filed under ``keys[row]``."""
-    sorted_keys, values = index
-    lo = np.searchsorted(sorted_keys, keys, "left")
-    counts = np.searchsorted(sorted_keys, keys, "right") - lo
-    rows = np.repeat(np.arange(len(keys)), counts)
-    starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
-    return rows, values[np.arange(len(rows)) + starts]
+def _dropped(stores: list, prefix, turn: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(query row i, candidate) per row of ``stores`` (a None is skipped) whose
+    columns, turned left ``turn`` places, read ``prefix[i]``, then the candidate."""
+    i, v = zip((np.empty(0, np.int64), np.empty((0, 1), np.int64)),
+               *(store.lookup(prefix, turn) for store in stores if store))
+    return np.concatenate(i), np.concatenate(v)[:, 0]
 
 
 def _rank_block(kind: ScorerKind, heads: bool, anchor_rows: np.ndarray,
@@ -211,26 +203,22 @@ def triple_completion_eval(params: ModelParams, kind: ScorerKind,
     if direction not in ("tail", "both"):
         raise EvalError(f"unknown direction {direction!r}")
     nodes, edges = (params.table(name) for name in VIEW_TABLES[view])
-    n_nodes, n_edges = nodes.shape[0], edges.shape[0]
-    fh, fr, ft = np.concatenate([np.empty((0, 3), np.int64),
-                                 *(s.rows for s in filter_stores)]).T
-    by_hr, by_rt = _index(fh * n_edges + fr, ft), _index(fr * n_nodes + ft, fh)
-    del fh, fr, ft      # the stacked filter rows are not alive while ranking
+    filter_stores = list(filter_stores)     # every block reads them
     max_norm = _max_norm(nodes)
     both = direction == "both"
     triples = test.rows
     ranks = np.empty((len(triples), 1 + both), dtype=np.int64)
-    step = max(1, BLOCK_ELEMENTS // n_nodes)
+    step = max(1, BLOCK_ELEMENTS // len(nodes))
     for start in range(0, len(triples), step):
         h, r, t = triples[start:start + step].T
         ranks[start:start + step, 0] = _rank_block(
             kind, False, nodes[h], edges[r], nodes, max_norm, t,
-            _lookup(by_hr, h * n_edges + r),
+            _dropped(filter_stores, triples[start:start + step, :2]),
             lambda i, c: score(kind, nodes[h[i]], edges[r[i]], nodes[c]))
         if both:
             ranks[start:start + step, 1] = _rank_block(
                 kind, True, nodes[t], edges[r], nodes, max_norm, h,
-                _lookup(by_rt, r * n_nodes + t),
+                _dropped(filter_stores, triples[start:start + step, 1:], turn=1),
                 lambda i, c: score(kind, nodes[c], edges[r[i]], nodes[t[i]]))
     queries = [q for h, r, t in triples.tolist()
                for q in (((h, r, None), t), ((None, r, t), h))[:1 + both]]
@@ -253,9 +241,8 @@ def top_tails(params: ModelParams, kind: ScorerKind, head: int, relation: int,
     """
     nodes, edges = (params.table(name) for name in VIEW_TABLES[view])
     fast = score_all_tails(kind, nodes[head], edges[relation], nodes)
-    fh, fr, ft = (filter_store or TripleStore()).rows.T
     kept = np.ones(len(fast), dtype=bool)
-    kept[ft[(fh == head) & (fr == relation)]] = False
+    kept[_dropped([filter_store], [[head, relation]])[1]] = False
     listed = _top_k(fast, k, kept)
     width = rank_slack(kind, nodes[[head]], edges[[relation]], False,
                    _max_norm(nodes), fast[listed[-1:]]) if listed else None
@@ -310,7 +297,6 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
     """
     if len(test_links) == 0:
         raise EvalError("test link store is empty")
-    by_entity = _index(*(train_links or CrossLinkStore()).rows.T)
     links = test_links.rows
     concepts = params.concepts
     max_norm = _max_norm(concepts)
@@ -322,7 +308,7 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
             ScorerKind.TRANSLATIONAL, False,
             _images(params, config, params.entities[ents]),
             np.zeros((len(ents), concepts.shape[1]), concepts.dtype),
-            concepts, max_norm, gold, _lookup(by_entity, ents),
+            concepts, max_norm, gold, _dropped([train_links], ents[:, None]),
             lambda i, c: -concept_distances(params, config, ents[i], c))
     return _aggregate("entity_typing", ranks, ks, variant=config.variant,
                       queries=[((e, None), c) for e, c in links.tolist()])

@@ -12,8 +12,8 @@ tabs, and may not be empty.  Blank lines are ignored; any other line with the
 wrong field count or an empty field is a parse error.  A file is read in
 chunks of lines whose checks and vocabulary lookups run in bulk.  A store
 is built once, from an array or an iterable of id rows, and holds them as
-one read-only int64 id array; its tuples, ``by_entity`` and sorted
-membership keys are derived from it.
+one read-only int64 id array; its tuples, ``by_entity`` and its one index
+of sorted keys (no other module packs ids into keys) are derived from it.
 """
 
 from __future__ import annotations
@@ -121,12 +121,12 @@ def _field_bits(rows: np.ndarray) -> tuple[int, ...]:
     return bits
 
 
-def _pack(rows: np.ndarray, bits: tuple[int, ...]) -> np.ndarray:
-    """One int64 key per row of ``rows``, each column's id in its field."""
-    keys = rows[:, 0].copy()
-    for j in range(1, rows.shape[1]):
-        keys <<= bits[j]
-        keys |= rows[:, j]
+def _pack(cols, bits: tuple[int, ...]) -> np.ndarray:
+    """One int64 key per row of id columns ``cols``, each id in its field."""
+    keys = cols[0].copy()
+    for col, width in zip(cols[1:], bits[1:]):
+        keys <<= width
+        keys |= col
     return keys
 
 
@@ -134,13 +134,12 @@ class _IdRows:
     """Deduplicated int64 (n, k) id rows in first-occurrence order, the body
     of the three stores.  A store is built once, by its constructor, and
     never changes.  Repeated rows are dropped with one ``np.unique`` over
-    packed keys and counted.  Membership (``contains_rows``; ``in`` is its
-    one-row case for a key that ``_as_rows`` accepts) searches the sorted
-    keys, built on the first query; an id outside its column's field
-    [0, 2**bits), or negative, is never a member, so keys cannot alias.
-    ``training.sample_negatives`` asks about a whole batch of candidates: it
-    replays numpy's ``Generator.integers`` stream and falls back to the 1-D
-    samplers, and so to ``in``, only at a member or a redraw."""
+    packed keys and counted.  Its one index is those keys sorted per column
+    turn, each on the turn's first query, and kept: turn 0 reads a row as
+    (h, r, t) or (e, c), turn 1 as (r, t, h) or (c, e).  ``lookup`` (eval's
+    filters) and membership (``contains_rows``; ``in`` is its one-row case
+    for a key that ``_as_rows`` accepts) search it.  An id outside its
+    column's field [0, 2**bits), or negative, matches nothing."""
 
     __slots__ = ("rows", "_bits", "_keys", "duplicates_dropped")
     WIDTH, _ROW = 2, tuple
@@ -148,28 +147,46 @@ class _IdRows:
     def __init__(self, rows=()):
         rows = _as_rows(rows, self.WIDTH)
         self._bits = _field_bits(rows)
-        first = np.sort(np.unique(_pack(rows, self._bits), return_index=True)[1])
-        self.rows, self._keys = rows[first], None      # (n, k) ids, read-only
+        first = np.sort(np.unique(_pack(rows.T, self._bits), return_index=True)[1])
+        self.rows, self._keys = rows[first], {}         # (n, k) ids, read-only
         self.rows.flags.writeable = False
         self.duplicates_dropped = len(rows) - len(first)
+
+    def _range(self, prefix, turn: int = 0, full: bool = True):
+        """Where the keys of ``turn`` (0 or 1) under each (m, j) integer id
+        row of ``prefix`` start, how many there are, and the widths of the
+        fields past j; j is ``WIDTH`` if ``full``, else 1 to ``WIDTH``."""
+        prefix, bits = np.asarray(prefix), self._bits[turn:] + self._bits[:turn]
+        if turn not in (0, 1) or prefix.dtype.kind not in "iu" or prefix.ndim != 2 or \
+                not (self.WIDTH if full else 1) <= prefix.shape[1] <= self.WIDTH:
+            raise TwoViewError(f"expected integer id rows of {'' if full else '1 to '}"
+                               f"{self.WIDTH} in turn 0 or 1, got {prefix.dtype} "
+                               f"{prefix.shape} in turn {turn!r}")
+        if turn not in self._keys:
+            self._keys[turn] = keys = _pack([*self.rows.T[turn:], *self.rows.T[:turn]], bits)
+            keys.sort()
+        j, keys, prefix = prefix.shape[1], self._keys[turn], prefix.astype(np.int64, copy=False)
+        low, inside = sum(bits[j:]), (prefix >> bits[:j] == 0).all(axis=1)
+        lo = _pack(prefix.T, bits) << low       # ends at lo | ones: lo + 2**low may overflow
+        start = np.searchsorted(keys, lo, "left")
+        end = (np.searchsorted(keys, lo | (1 << low) - 1, "right") if low or not len(keys)
+               else start + (keys.take(start, mode="clip") == lo))  # whole key: at most one
+        return start, np.where(inside, end - start, 0), np.array(bits[j:], np.int64)
+
+    def lookup(self, prefix, turn: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(i, v) per stored row whose columns, turned left ``turn`` (0 or 1)
+        places, read ``prefix[i]`` ((m, j) integer ids), then the WIDTH - j ``v``."""
+        start, count, rest = self._range(prefix, turn, full=False)
+        i = np.repeat(np.arange(len(count)), count)
+        at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(len(i))
+        low = np.cumsum(rest[::-1])[::-1] - rest        # the bits below each field
+        return i, self._keys[turn][at, None] >> low & (1 << rest) - 1
 
     def contains_rows(self, rows) -> np.ndarray:
         """Whether each (m, k) id row of ``rows``, or the one (k,) row, is in
         the store, as an (m,) bool array.  Rows of another dtype than
         integer or of another shape raise ``TwoViewError``."""
-        rows = np.asarray(rows)
-        if rows.dtype.kind not in "iu" or rows.shape[-1:] != (self.WIDTH,) or rows.ndim > 2:
-            raise TwoViewError(f"expected integer id rows of {self.WIDTH}, got "
-                               f"{rows.dtype} {rows.shape}")
-        rows = rows.astype(np.int64, copy=False).reshape(-1, self.WIDTH)
-        if self._keys is None:
-            self._keys = np.sort(_pack(self.rows, self._bits))
-        inside = (rows >> self._bits == 0).all(axis=1)
-        if not len(self._keys):
-            return np.zeros(len(rows), bool)
-        keys = _pack(rows, self._bits)
-        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        return inside & (self._keys[at] == keys)
+        return self._range(np.atleast_2d(rows))[1] > 0
 
     def _contains(self, row) -> bool:
         """``row in store`` as for a set of id tuples: a key that is not one

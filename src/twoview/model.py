@@ -124,10 +124,6 @@ class ModelParams:
             raise ConfigError(f"affine map {name!r} is not part of this variant")
         return m
 
-    @property
-    def dtype(self):
-        return self.entities.dtype
-
     def blocks(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) for every trainable array: the tables, then the W
         and b of each map present, CT before HA."""

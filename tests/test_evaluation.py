@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twoview import evaluation
-from twoview.dataio import prepare_splits
+from twoview.dataio import _FIELDS, load_split_dir, prepare_splits, write_split_dir
 from twoview.errors import ConfigError, EvalError
 from twoview.evaluation import (EvalReport, concept_distances,
                                 entity_typing_eval, long_tail_eval,
@@ -146,6 +146,34 @@ class TestTripleCompletionEval:
         for k in (1, 3, 10):
             frac = sum(1 for r in oracle_ranks if r <= k) / len(oracle_ranks)
             assert rep.hits[k] == frac
+
+    @pytest.mark.parametrize("kind", list(ScorerKind))
+    def test_several_filter_stores_match_oracle(self, kind, monkeypatch):
+        """Strict filtering by (train, valid, test), passed as a one-shot
+        generator, over blocks of 4 test triples: every block filters by
+        every store."""
+        kb = random_kb(seed=8, n_entities=30, n_relations=3, n_instance_triples=300)
+        n_e = len(kb.entities)
+        config, params = random_model(seed=1, n_e=n_e, n_r=len(kb.relations),
+                                      n_c=len(kb.concepts), n_m=len(kb.meta_relations))
+        data = prepare_splits(kb, SplitSpec(0.6, 0.2, 0.2, seed=2))
+        stores = (data.instance_train, data.instance_valid, data.instance_test)
+        monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", 4 * n_e)
+        rep = triple_completion_eval(params, kind, data.instance_test,
+                                     (store for store in stores), direction="both")
+        known = set().union(*stores)
+        E, R = params.entities, params.relations
+        oracle = []
+        for h, r, t in data.instance_test:
+            oracle.append(sort_scan_rank(
+                {c: score(kind, E[h], R[r], E[c]) for c in range(n_e)}, t,
+                {c for c in range(n_e) if (h, r, c) in known} - {t}))
+            oracle.append(sort_scan_rank(
+                {c: score(kind, E[c], R[r], E[t]) for c in range(n_e)}, h,
+                {c for c in range(n_e) if (c, r, t) in known} - {h}))
+        assert len(data.instance_test) > 8 and rep.ranks == oracle
+        assert rep.ranks != triple_completion_eval(
+            params, kind, data.instance_test, stores[:1], direction="both").ranks
 
     def test_hits_monotone(self):
         kb = random_kb(seed=9)
@@ -351,6 +379,29 @@ def test_top_tails_exact_at_k_boundary(kind):
     want = oracle()[:k]
     assert twin in [c for c, _ in oracle()[:k + 1]]
     assert top_tails(params, kind, h, r, k, filter_store=store) == want
+
+
+def test_filter_keys_are_built_on_first_use_and_kept(tmp_path):
+    """No store holds sorted keys until it is asked; two eval passes over
+    one filter store build its two key turns once."""
+    kb = random_kb(seed=8)
+    data = prepare_splits(kb, SplitSpec(seed=2))
+    write_split_dir(data, tmp_path, kb)
+    loaded = load_split_dir(tmp_path)
+    stores = [getattr(loaded, name) for kind, name in _FIELDS]
+    assert len(stores) == 8 and not any(store._keys for store in stores)
+    assert not TripleStore([(0, 1, 2)])._keys and not CrossLinkStore([(0, 1)])._keys
+    config, params = random_model(seed=1, n_e=len(kb.entities), n_r=len(kb.relations),
+                                  n_c=len(kb.concepts), n_m=len(kb.meta_relations))
+    train = loaded.instance_train
+    first = triple_completion_eval(params, config.intra, loaded.instance_test, [train],
+                                   direction="both")
+    keys = dict(train._keys)
+    assert sorted(keys) == [0, 1] and not loaded.instance_test._keys
+    again = triple_completion_eval(params, config.intra, loaded.instance_test, [train],
+                                   direction="both")
+    assert again.ranks == first.ranks
+    assert all(train._keys[turn] is keys[turn] for turn in keys)
 
 
 @pytest.mark.parametrize("kind", [ScorerKind.TRANSLATIONAL,

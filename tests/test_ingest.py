@@ -248,6 +248,68 @@ def test_contains_rows_refuses_what_the_gate_refuses(cls, width):
     assert store.contains_rows(np.array([[2**64 - 1] * width], np.uint64)).tolist() == [False]
 
 
+def scan_lookup(store, prefix, turn):
+    """``store.lookup`` by a scan: (query row, rest) of every stored row
+    whose columns, turned left ``turn`` places, start with a prefix row."""
+    turned = [row[turn:] + row[:turn] for row in store.rows.tolist()]
+    return sorted((q, tuple(row[len(p):])) for q, p in enumerate(prefix.tolist())
+                  for row in turned if row[:len(p)] == p)
+
+
+@pytest.mark.parametrize("cls, width", [(TripleStore, 3), (CrossLinkStore, 2),
+                                         (HierarchyStore, 2)])
+@pytest.mark.parametrize("size", [0, 1, 40])
+@pytest.mark.parametrize("turn", [0, 1])
+@pytest.mark.parametrize("high", [1, 6])
+def test_lookup_agrees_with_a_scan(cls, width, size, turn, high):
+    """Every prefix width, in both column turns, for ids past a field's
+    width, negative ids and empty stores; the full width is membership.
+    At ``high`` 1 every field is 0 bits wide, so every prefix is a whole key."""
+    rng = np.random.default_rng(size)
+    store = cls(rng.integers(high, size=(size, width)))
+    turned = np.roll(store.rows, -turn, axis=1)
+    for j in range(1, width + 1):
+        prefix = np.concatenate([turned[:, :j], rng.integers(-2, 9, size=(60, j)),
+                                 [[2**40] * j, [-1] * j, [0] * (j - 1) + [2**62]]])
+        i, v = store.lookup(prefix, turn)
+        assert i.dtype == v.dtype == np.int64 and v.shape == (len(i), width - j)
+        assert sorted(zip(i.tolist(), map(tuple, v.tolist()))) == \
+            scan_lookup(store, prefix, turn)
+        assert np.bincount(i, minlength=len(prefix))[:len(store)].all()
+    member = np.bincount(i, minlength=len(prefix)) > 0
+    assert member.tolist() == store.contains_rows(np.roll(prefix, turn, axis=1)).tolist()
+
+
+@pytest.mark.parametrize("cls, top", [(TripleStore, (2**21 - 1,) * 3),
+                                      (CrossLinkStore, (2**32 - 1, 2**31 - 1))])
+def test_lookup_where_the_fields_fill_63_bits(cls, top):
+    """The end of a key range is searched as the prefix with every lower
+    bit set: at the top of 63-bit fields, prefix + 2**low overflows int64."""
+    top = np.array(top)
+    store = cls([top, top - 1, top * [1, 0, 1][:len(top)], top * [0, 1, 0][:len(top)]])
+    assert sum(store._bits) == 63
+    for turn in (0, 1):
+        for j in range(1, len(top) + 1):
+            prefix = np.concatenate([np.roll(store.rows, -turn, axis=1)[:, :j],
+                                     [np.roll(top, -turn)[:j] + 1]])
+            i, v = store.lookup(prefix, turn)
+            assert sorted(zip(i.tolist(), map(tuple, v.tolist()))) == \
+                scan_lookup(store, prefix, turn)
+    assert store.contains_rows(store.rows).all()
+
+
+def test_lookup_refuses_what_it_cannot_read():
+    """A prefix is a 2-D integer array of one to ``WIDTH`` columns, and a
+    turn is 0 or 1."""
+    store = TripleStore([(1, 2, 3)])
+    for bad in ([1, 2], [[1.0, 2.0]], [[1, 2, 3, 4]], np.empty((1, 0), np.int64)):
+        with pytest.raises(TwoViewError, match="integer id rows of 1 to 3"):
+            store.lookup(bad)
+    with pytest.raises(TwoViewError, match=r"in turn 0 or 1, got int64 \(1, 1\) in turn 2"):
+        store.lookup([[1]], turn=2)
+    assert store.lookup(np.array([[2, 3]], np.uint8), turn=1)[1].tolist() == [[1]]
+
+
 @pytest.mark.parametrize("cls, width", [(TripleStore, 3), (CrossLinkStore, 2),
                                          (HierarchyStore, 2)])
 def test_in_answers_like_a_set_of_id_tuples(cls, width):
