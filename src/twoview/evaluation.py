@@ -14,8 +14,9 @@ concepts).  The batched scores and their rounding window both come from
 multiplicative ranks and ``top_tails`` lists equal ``rank_candidates`` over
 ``score`` (``concept_distances`` for typing) exactly: the candidates within
 ``rank_slack``'s window are re-scored by one such call per block over
-gathered rows.  Correlational ones come from the batched scores and may be
-one off on ulp-close ties.
+gathered rows, for typing from the images the block's scores used, so each
+entity goes through the CT map once per pass.  Correlational ones come from
+the batched scores and may be one off on ulp-close ties.
 """
 
 from __future__ import annotations
@@ -269,15 +270,19 @@ def _images(params: ModelParams, config: ModelConfig, e: np.ndarray) -> np.ndarr
     return e if config.cross == CrossKind.GROUPING else affine_tanh(params.map("ct"), e)
 
 
+def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """fl(||fl(rows - points)||) over the last axis, broadcast."""
+    return np.linalg.norm(rows - points, axis=-1)
+
+
 def concept_distances(params: ModelParams, config: ModelConfig, entity,
                       concepts: np.ndarray | None = None) -> np.ndarray:
     """(n_c,) distances from the image of an int ``entity`` to every concept,
     or (k,) ones of each pair of equal-length id arrays ``entity`` and
-    ``concepts``.  Both forms compute ``np.linalg.norm(rows - point,
-    axis=-1)``, so a pair equals its entry of the full row bitwise."""
-    point = _images(params, config, params.entities[entity])
+    ``concepts``.  Both forms are ``_distances`` of the ``_images`` rows, so
+    a pair equals its entry of the full row bitwise."""
     rows = params.concepts if concepts is None else params.concepts[concepts]
-    return np.linalg.norm(rows - point, axis=-1)
+    return _distances(_images(params, config, params.entities[entity]), rows)
 
 
 def entity_typing_eval(params: ModelParams, config: ModelConfig,
@@ -289,11 +294,12 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
     The entity's concepts in ``train_links`` (the filter links), other than
     the gold, are filtered from the candidates.  A block of ``BLOCK_ELEMENTS
     // n_c`` links is mapped by one ``affine_tanh`` call and scored by one
-    ``score_all_tails`` call; the window is re-scored by one
-    ``concept_distances`` call, so ranks equal ``rank_candidates`` over it:
-    with r = 0 the query row is fl(p + 0) = p for the image p, and
-    ``concept_distances`` computes fl(||fl(x_c - p)||) as ``score`` does, so
-    ``rank_slack``'s translational tail bound holds.
+    ``score_all_tails`` call; the window is re-scored by one ``_distances``
+    call from the same images, so ranks equal ``rank_candidates`` over
+    ``concept_distances``: ``affine_tanh`` maps a block's rows bitwise as
+    one at a time, with r = 0 the query row is fl(p + 0) = p for the image
+    p, and ``_distances`` computes fl(||fl(x_c - p)||) as ``score`` does,
+    so ``rank_slack``'s translational tail bound holds.
     """
     if len(test_links) == 0:
         raise EvalError("test link store is empty")
@@ -304,12 +310,12 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
     ranks = []
     for start in range(0, len(links), step):
         ents, gold = links[start:start + step].T
+        points = _images(params, config, params.entities[ents])
         ranks += _rank_block(
-            ScorerKind.TRANSLATIONAL, False,
-            _images(params, config, params.entities[ents]),
+            ScorerKind.TRANSLATIONAL, False, points,
             np.zeros((len(ents), concepts.shape[1]), concepts.dtype),
             concepts, max_norm, gold, _dropped([train_links], ents[:, None]),
-            lambda i, c: -concept_distances(params, config, ents[i], c))
+            lambda i, c: -_distances(points[i], concepts[c]))
     return _aggregate("entity_typing", ranks, ks, variant=config.variant,
                       queries=[((e, None), c) for e, c in links.tolist()])
 

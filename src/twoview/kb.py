@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice, repeat
 from types import MappingProxyType
@@ -137,9 +138,9 @@ class _IdRows:
     packed keys and counted.  Its one index is those keys sorted per column
     turn, each on the turn's first query, and kept: turn 0 reads a row as
     (h, r, t) or (e, c), turn 1 as (r, t, h) or (c, e).  ``lookup`` (eval's
-    filters) and membership (``contains_rows``; ``in`` is its one-row case
-    for a key that ``_as_rows`` accepts) search it.  An id outside its
-    column's field [0, 2**bits), or negative, matches nothing."""
+    filters) and membership (``contains_rows``, and ``in`` with one scalar
+    search for one row) search it.  An id outside its column's field
+    [0, 2**bits), or negative, matches nothing."""
 
     __slots__ = ("rows", "_bits", "_keys", "duplicates_dropped")
     WIDTH, _ROW = 2, tuple
@@ -152,6 +153,14 @@ class _IdRows:
         self.rows.flags.writeable = False
         self.duplicates_dropped = len(rows) - len(first)
 
+    def _sorted(self, turn: int) -> np.ndarray:
+        """The sorted keys of ``turn``, packed on its first query and kept."""
+        if turn not in self._keys:
+            bits = self._bits[turn:] + self._bits[:turn]
+            self._keys[turn] = keys = _pack([*self.rows.T[turn:], *self.rows.T[:turn]], bits)
+            keys.sort()
+        return self._keys[turn]
+
     def _range(self, prefix, turn: int = 0, full: bool = True):
         """Where the keys of ``turn`` (0 or 1) under each (m, j) integer id
         row of ``prefix`` start, how many there are, and the widths of the
@@ -162,10 +171,7 @@ class _IdRows:
             raise TwoViewError(f"expected integer id rows of {'' if full else '1 to '}"
                                f"{self.WIDTH} in turn 0 or 1, got {prefix.dtype} "
                                f"{prefix.shape} in turn {turn!r}")
-        if turn not in self._keys:
-            self._keys[turn] = keys = _pack([*self.rows.T[turn:], *self.rows.T[:turn]], bits)
-            keys.sort()
-        j, keys, prefix = prefix.shape[1], self._keys[turn], prefix.astype(np.int64, copy=False)
+        j, keys, prefix = prefix.shape[1], self._sorted(turn), prefix.astype(np.int64, copy=False)
         low, inside = sum(bits[j:]), (prefix >> bits[:j] == 0).all(axis=1)
         lo = _pack(prefix.T, bits) << low       # ends at lo | ones: lo + 2**low may overflow
         start = np.searchsorted(keys, lo, "left")
@@ -189,12 +195,21 @@ class _IdRows:
         return self._range(np.atleast_2d(rows))[1] > 0
 
     def _contains(self, row) -> bool:
-        """``row in store`` as for a set of id tuples: a key that is not one
-        row of ``WIDTH`` non-negative integer ids is not a member."""
+        """``row in store`` as for a set of id tuples: a key that is not
+        ``WIDTH`` integers (``operator.index``) is not a member.  One scalar
+        search of the turn-0 keys, off the array path of ``contains_rows``."""
         try:
-            return bool(self.contains_rows(_as_rows([row], self.WIDTH))[0])
-        except TwoViewError:
+            ids = [operator.index(x) for x in islice(row, self.WIDTH + 1)]
+        except TypeError:               # not iterable, or not integer ids
             return False
+        key = 0
+        for x, width in zip(ids, self._bits):
+            if x >> width:              # negative, or outside its field
+                return False
+            key = key << width | x
+        keys = self._sorted(0)
+        at = keys.searchsorted(key)
+        return len(ids) == self.WIDTH and at < len(keys) and bool(keys[at] == key)
 
     def __len__(self) -> int:
         return len(self.rows)

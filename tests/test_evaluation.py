@@ -610,6 +610,12 @@ class TestTypingExactness:
         full = np.stack([concept_distances(params, config, int(e)) for e in ents])
         assert pairs.dtype == full.dtype == np.float32
         assert pairs.tobytes() == full[np.arange(200), cs].tobytes()
+        # typing's re-score: the kernel on rows gathered from one block's images
+        block = np.unique(ents)
+        points = evaluation._images(params, config, params.entities[block])
+        gathered = evaluation._distances(points[np.searchsorted(block, ents)],
+                                         params.concepts[cs])
+        assert gathered.tobytes() == pairs.tobytes()
 
     @pytest.mark.parametrize("variant, d_e", [("TransE-CT", 300), ("TransE-CG", 50)])
     def test_planted_near_ties_rank_exactly(self, variant, d_e, monkeypatch):
@@ -621,6 +627,29 @@ class TestTypingExactness:
         monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", 16 * n_c)
         rep = entity_typing_eval(params, config, test, train)
         assert rep.ranks == typing_oracle(params, config, test, train)
+
+
+@pytest.mark.parametrize("variant", ["TransE-CT", "TransE-CG"])
+def test_typing_maps_each_link_once(variant, monkeypatch):
+    """Under CT one ``affine_tanh`` call per block of 16 links (16 + 16 + 8)
+    maps each link's entity, and the window re-score maps none; CG maps
+    nothing.  ``long_tail_eval`` maps only its slice."""
+    config, params, test, train = planted_typing(variant, 50)
+    ct = config.variant.endswith("-CT")
+    calls = []
+
+    def counted(m, x, _affine_tanh=evaluation.affine_tanh):
+        calls.append(len(x))
+        return _affine_tanh(m, x)
+    monkeypatch.setattr(evaluation, "affine_tanh", counted)
+    monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", 16 * params.concepts.shape[0])
+    entity_typing_eval(params, config, test, train)
+    assert calls == ([16, 16, 8] if ct else [])
+    calls.clear()
+    freq = {e: 9 * (i % 3 == 0) for i, e in enumerate(test.rows[:, 0].tolist())}
+    rep = long_tail_eval(params, config, test, freq, 5, train)
+    assert rep.n_queries == 26
+    assert calls == ([16, 10] if ct else [])
 
 
 _TYPING_THREADS_RUN = """

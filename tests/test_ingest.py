@@ -324,6 +324,24 @@ def test_in_answers_like_a_set_of_id_tuples(cls, width):
         assert key not in store, key
 
 
+@pytest.mark.parametrize("cls, width", [(TripleStore, 3), (CrossLinkStore, 2),
+                                         (HierarchyStore, 2)])
+def test_in_reads_numpy_ids_as_contains_rows(cls, width):
+    """``in`` packs its key from Python ints, off the array path: tuples of
+    numpy integer scalars and 1-D integer arrays, of every integer dtype,
+    answer as ``contains_rows`` does, also past a field or wrapped negative."""
+    rng = np.random.default_rng(width)
+    store = cls(rng.integers(6, size=(30, width)))
+    probes = np.concatenate([store.rows, rng.integers(-2, 9, size=(100, width)),
+                             [[2**40] + [0] * (width - 1), [-1] * width]])
+    for dtype in (np.int64, np.int32, np.int8, np.uint16, np.uint64):
+        typed = probes.astype(dtype)
+        want = store.contains_rows(typed).tolist()
+        assert any(want) and not all(want)
+        assert [tuple(row) in store for row in typed] == want, dtype
+        assert [row in store for row in typed] == want, dtype
+
+
 @pytest.mark.parametrize("rows", [[(1.5, 2, 3)], np.array([[1.0, 2, 3]]),
                                   [("a", "b", "c")], [(1, 2, 3), (4, 5)]])
 def test_store_refuses_rows_that_are_not_ids(rows):

@@ -2,14 +2,15 @@
 on the module that looks them up at call time.  A target that is renamed,
 moved or no longer called with the arguments its hook expects is marked
 missing, and its per-layer metrics turn null.  This guard installs the same
-probe over one small training epoch per traced variant and one eval pass per
-traced task."""
+probe over one small training epoch per traced variant, one eval pass per
+traced task and one ``typing_scores`` query."""
 
 import sys
 from pathlib import Path
 
 from twoview.dataio import prepare_splits
-from twoview.evaluation import entity_typing_eval, triple_completion_eval
+from twoview.evaluation import (entity_typing_eval, triple_completion_eval,
+                                typing_scores)
 from twoview.kb import SplitSpec
 from twoview.model import ModelConfig
 from twoview.objectives import Margins
@@ -44,6 +45,7 @@ def test_every_trace_target_is_found():
         triple_completion_eval(params, model.intra, data.instance_test,
                                [data.instance_train], direction="both")
         entity_typing_eval(params, model, data.links_test, data.links_train)
+        typing_scores(params, model, 0)     # the CLI's `predict type`
     finally:
         probe.uninstall()
     assert tracer.missing == set()
