@@ -6,7 +6,9 @@ header (sorted keys, no whitespace), then the payload.  The header lists
 every block with its byte offset into the payload, so the format is readable
 from any language without a serialization framework.  Vocabulary content
 hashes (FNV-1a over the sorted names) bind a checkpoint to the dataset it
-was trained on.
+was trained on.  The saver writes each block from a flat byte view of its
+C-ordered float32 array, and the loader reads each block from the file into
+a new array of its own, so neither makes a bytes copy of the parameters.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
             fh.write(struct.pack("<Q", len(header_bytes)))
             fh.write(header_bytes)
             for _, arr in blocks:
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+                if arr.size:    # an empty block holds no bytes and its view cannot be cast
+                    fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -90,31 +93,36 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
     """Read a checkpoint, validating magic, sizes and payload length.
 
-    Every malformed file raises ``CheckpointError`` naming ``path``.
+    Each block is read from the file straight into its own array, after
+    the header and the file size agree on the payload, so a load holds one
+    copy of the parameters.  Every malformed file raises
+    ``CheckpointError`` naming ``path``.
     """
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            frame = fh.read(16)
+            if frame[:8] != MAGIC:
+                raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+            header_len = int.from_bytes(frame[8:16], "little")
+            if len(frame) < 16 or 16 + header_len > size:
+                raise CheckpointError(f"{path}: file ends inside the header")
+            try:
+                return _decode(fh.read(header_len), fh, size - 16 - header_len, path)
+            except (KeyError, TypeError, ValueError, ConfigError) as exc:
+                raise CheckpointError(
+                    f"{path}: unreadable header ({type(exc).__name__}: {exc})") from None
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from None
-    if raw[:8] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    header_len = int.from_bytes(raw[8:16], "little")
-    if len(raw) < 16 or 16 + header_len > len(raw):
-        raise CheckpointError(f"{path}: file ends inside the header")
-    try:
-        return _decode(raw[16:16 + header_len], raw[16 + header_len:], path)
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise CheckpointError(
-            f"{path}: unreadable header ({type(exc).__name__}: {exc})") from None
 
 
-def _decode(header_bytes: bytes, payload: bytes, path):
+def _decode(header_bytes: bytes, fh, payload_nbytes: int, path):
     header = json.loads(header_bytes.decode("utf-8"))
     if not isinstance(header, dict):
         raise TypeError("header is not a JSON object")
-    if len(payload) != header["payload_nbytes"]:
+    if payload_nbytes != header["payload_nbytes"]:
         raise CheckpointError(
-            f"{path}: payload is {len(payload)} bytes, header declares "
+            f"{path}: payload is {payload_nbytes} bytes, header declares "
             f"{header['payload_nbytes']}")
     config = ModelConfig.from_variant(header["variant"], header["d_e"],
                                       header["d_c"])
@@ -125,18 +133,20 @@ def _decode(header_bytes: bytes, payload: bytes, path):
     if not all(isinstance(sizes[t], int) and sizes[t] >= 0 for t in ModelParams.TABLES):
         raise CheckpointError(f"{path}: vocabulary sizes {sizes} are not all counts")
     want, nbytes = _block_table(ModelParams.layout(config, sizes))
-    if header["blocks"] != want or nbytes != len(payload):
+    if header["blocks"] != want or nbytes != payload_nbytes:
         raise CheckpointError(
             f"{path}: header declares blocks {header['blocks']}; {config.variant} "
             f"with d_e={config.d_e}, d_c={config.d_c} and these vocabulary sizes "
             f"needs {want}, {nbytes} bytes in all")
     arrays = []
     for meta in want:
-        start, name = meta["offset"], meta["name"]
-        arr = np.frombuffer(payload[start:start + meta["nbytes"]], dtype="<f4")
+        name, arr = meta["name"], np.empty(meta["shape"], dtype="<f4")
+        # into the array itself: a zero-row block's view cannot be cast to bytes
+        if fh.readinto(arr) != meta["nbytes"]:
+            raise CheckpointError(f"{path}: file ends inside block {name!r}")
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: block {name!r} holds non-finite values")
-        arrays.append((name, arr.reshape(meta["shape"]).copy()))
+        arrays.append((name, arr))
     return ModelParams.from_blocks(arrays), config, header
 
 

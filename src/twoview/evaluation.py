@@ -31,7 +31,7 @@ from .errors import ConfigError, EvalError
 from .kb import CrossLinkStore, TripleStore
 from .model import VIEW_TABLES, CrossKind, ModelConfig, ModelParams
 from .scoring import (ScorerKind, rank_slack, score, score_all_heads,
-                      score_all_tails)
+                      score_all_tails, sq_norms)
 from .tensor_ops import AffineMap, affine_tanh, affine_tanh_pinv
 
 
@@ -149,9 +149,10 @@ def _top_k(scores: np.ndarray, k: int | None = None,
     return (ids if kept is None else ids[kept[ids]])[:k].tolist()
 
 
-def _max_norm(table: np.ndarray) -> float:
-    """Largest row norm of ``table``, computed in its dtype."""
-    return float(np.sqrt(np.einsum("ij,ij->i", table, table).max()))
+def _max_norm(table: np.ndarray, sq: np.ndarray | None = None) -> float:
+    """Largest row norm of ``table``, computed in its dtype from its
+    ``sq_norms`` ``sq`` (None: computed here)."""
+    return float(np.sqrt((sq_norms(table) if sq is None else sq).max()))
 
 
 def _aggregate(task: str, ranks: list[int], ks=(1, 3, 10), **kw) -> EvalReport:
@@ -171,14 +172,15 @@ def _dropped(stores: list, prefix, turn: int = 0) -> tuple[np.ndarray, np.ndarra
 
 
 def _rank_block(kind: ScorerKind, heads: bool, anchor_rows: np.ndarray,
-                rel_rows: np.ndarray, table: np.ndarray, max_norm: float,
+                rel_rows: np.ndarray, table: np.ndarray, table_sq: np.ndarray,
                 gold: np.ndarray, drop, exact) -> list[int]:
     """``_rank`` of a block of queries fixing ``anchor_rows[i]`` (the head,
     or the tail if ``heads``) and ``rel_rows[i]``, scored against every row
-    of ``table`` (row norms at most ``max_norm``) by one ``score_all_*``."""
-    fast = (score_all_heads(kind, table, rel_rows, anchor_rows) if heads
-            else score_all_tails(kind, anchor_rows, rel_rows, table))
-    width = rank_slack(kind, anchor_rows, rel_rows, heads, max_norm,
+    of ``table``, whose ``sq_norms`` are ``table_sq``, by one
+    ``score_all_*``."""
+    fast = (score_all_heads(kind, table, rel_rows, anchor_rows, table_sq) if heads
+            else score_all_tails(kind, anchor_rows, rel_rows, table, table_sq))
+    width = rank_slack(kind, anchor_rows, rel_rows, heads, _max_norm(table, table_sq),
                    fast[np.arange(len(gold)), gold])
     del anchor_rows, rel_rows   # not alive while ``exact`` gathers rows
     return _rank(fast, gold, drop, width, exact)
@@ -205,7 +207,7 @@ def triple_completion_eval(params: ModelParams, kind: ScorerKind,
         raise EvalError(f"unknown direction {direction!r}")
     nodes, edges = (params.table(name) for name in VIEW_TABLES[view])
     filter_stores = list(filter_stores)     # every block reads them
-    max_norm = _max_norm(nodes)
+    nodes_sq = sq_norms(nodes)      # once per pass, for every block
     both = direction == "both"
     triples = test.rows
     ranks = np.empty((len(triples), 1 + both), dtype=np.int64)
@@ -213,12 +215,12 @@ def triple_completion_eval(params: ModelParams, kind: ScorerKind,
     for start in range(0, len(triples), step):
         h, r, t = triples[start:start + step].T
         ranks[start:start + step, 0] = _rank_block(
-            kind, False, nodes[h], edges[r], nodes, max_norm, t,
+            kind, False, nodes[h], edges[r], nodes, nodes_sq, t,
             _dropped(filter_stores, triples[start:start + step, :2]),
             lambda i, c: score(kind, nodes[h[i]], edges[r[i]], nodes[c]))
         if both:
             ranks[start:start + step, 1] = _rank_block(
-                kind, True, nodes[t], edges[r], nodes, max_norm, h,
+                kind, True, nodes[t], edges[r], nodes, nodes_sq, h,
                 _dropped(filter_stores, triples[start:start + step, 1:], turn=1),
                 lambda i, c: score(kind, nodes[c], edges[r[i]], nodes[t[i]]))
     queries = [q for h, r, t in triples.tolist()
@@ -241,12 +243,13 @@ def top_tails(params: ModelParams, kind: ScorerKind, head: int, relation: int,
     listed scores.  Any other candidate is below all k listed ones.
     """
     nodes, edges = (params.table(name) for name in VIEW_TABLES[view])
-    fast = score_all_tails(kind, nodes[head], edges[relation], nodes)
+    nodes_sq = sq_norms(nodes)
+    fast = score_all_tails(kind, nodes[head], edges[relation], nodes, nodes_sq)
     kept = np.ones(len(fast), dtype=bool)
     kept[_dropped([filter_store], [[head, relation]])[1]] = False
     listed = _top_k(fast, k, kept)
     width = rank_slack(kind, nodes[[head]], edges[[relation]], False,
-                   _max_norm(nodes), fast[listed[-1:]]) if listed else None
+                   _max_norm(nodes, nodes_sq), fast[listed[-1:]]) if listed else None
     if width is None:
         return [(c, float(fast[c])) for c in listed]
     floor = _outward(float(fast[listed[-1]]) - width, fast.dtype, -np.inf)
@@ -305,7 +308,7 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
         raise EvalError("test link store is empty")
     links = test_links.rows
     concepts = params.concepts
-    max_norm = _max_norm(concepts)
+    concepts_sq = sq_norms(concepts)
     step = max(1, BLOCK_ELEMENTS // concepts.shape[0])
     ranks = []
     for start in range(0, len(links), step):
@@ -314,7 +317,7 @@ def entity_typing_eval(params: ModelParams, config: ModelConfig,
         ranks += _rank_block(
             ScorerKind.TRANSLATIONAL, False, points,
             np.zeros((len(ents), concepts.shape[1]), concepts.dtype),
-            concepts, max_norm, gold, _dropped([train_links], ents[:, None]),
+            concepts, concepts_sq, gold, _dropped([train_links], ents[:, None]),
             lambda i, c: -_distances(points[i], concepts[c]))
     return _aggregate("entity_typing", ranks, ks, variant=config.variant,
                       queries=[((e, None), c) for e, c in links.tolist()])

@@ -14,7 +14,8 @@ candidate table and return (b, n); 1-D anchor and relation vectors are the
 b = 1 case and return (n,).  Both form one query row per query
 (``_query_rows``: h + r or t - r, anchor o r, h convolved with r or r
 correlated with t) and score it against the table with one matmul, in the
-table's dtype.  They differ from ``score`` by rounding, which
+table's dtype; a caller that scores one table in many blocks passes its
+``sq_norms`` once computed.  They differ from ``score`` by rounding, which
 ``rank_slack`` bounds from the same query rows.  Each circular product,
 here and in ``score``, is one d-term ``np.einsum`` sum per element, so a
 row's ``score`` does not depend on its block.
@@ -76,13 +77,20 @@ def score_grads(kind: ScorerKind, h: np.ndarray, r: np.ndarray,
     return circ_correlation(r, t), circ_correlation(h, t), circ_convolution(h, r)
 
 
-def _neg_distances(q: np.ndarray, table: np.ndarray) -> np.ndarray:
+def sq_norms(rows: np.ndarray) -> np.ndarray:
+    """|x|^2 of every row x of a (n, d) block, in its dtype."""
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def _neg_distances(q: np.ndarray, table: np.ndarray,
+                   table_sq: np.ndarray | None) -> np.ndarray:
     """-||q_i - t_j|| for every query row i and table row j, through the
-    expansion |q|^2 + |t|^2 - 2 q.t, clamped at zero."""
+    expansion |q|^2 + |t|^2 - 2 q.t, clamped at zero; ``table_sq`` is
+    ``sq_norms(table)`` or None to compute it."""
     out = q @ table.T
     out *= -2
-    out += np.einsum("ij,ij->i", q, q)[:, None]
-    out += np.einsum("ij,ij->i", table, table)[None, :]
+    out += sq_norms(q)[:, None]
+    out += (sq_norms(table) if table_sq is None else table_sq)[None, :]
     np.maximum(out, 0, out=out)
     np.sqrt(out, out=out)
     return np.negative(out, out=out)
@@ -102,25 +110,30 @@ def _query_rows(kind: ScorerKind, anchor: np.ndarray, r: np.ndarray,
     return circ_correlation(r, anchor) if heads else circ_convolution(anchor, r)
 
 
-def _score_all(kind: ScorerKind, anchor, r, table: np.ndarray, heads: bool):
+def _score_all(kind: ScorerKind, anchor, r, table: np.ndarray, heads: bool,
+               table_sq: np.ndarray | None):
     single = np.ndim(anchor) == 1
     q = _query_rows(kind, np.atleast_2d(anchor), np.atleast_2d(r), heads)
-    out = _neg_distances(q, table) if kind is ScorerKind.TRANSLATIONAL else q @ table.T
+    out = (_neg_distances(q, table, table_sq) if kind is ScorerKind.TRANSLATIONAL
+           else q @ table.T)
     return out[0] if single else out
 
 
 def score_all_tails(kind: ScorerKind, h: np.ndarray, r: np.ndarray,
-                    tails: np.ndarray) -> np.ndarray:
+                    tails: np.ndarray, tails_sq: np.ndarray | None = None
+                    ) -> np.ndarray:
     """Scores of (h_i, r_i, t~) for every query row i and every row t~ of
-    ``tails``."""
-    return _score_all(kind, h, r, tails, False)
+    ``tails``, whose ``sq_norms`` a caller scoring the same table many
+    times may pass as ``tails_sq``."""
+    return _score_all(kind, h, r, tails, False, tails_sq)
 
 
 def score_all_heads(kind: ScorerKind, heads: np.ndarray, r: np.ndarray,
-                    t: np.ndarray) -> np.ndarray:
+                    t: np.ndarray, heads_sq: np.ndarray | None = None
+                    ) -> np.ndarray:
     """Scores of (h~, r_i, t_i) for every query row i and every row h~ of
-    ``heads``."""
-    return _score_all(kind, t, r, heads, True)
+    ``heads``, whose ``sq_norms`` may be passed as ``heads_sq``."""
+    return _score_all(kind, t, r, heads, True, heads_sq)
 
 
 def rank_slack(kind: ScorerKind, anchor: np.ndarray, r: np.ndarray, heads: bool,

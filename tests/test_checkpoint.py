@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -111,6 +114,63 @@ class TestRoundTrip:
         assert load_checkpoint(path)[2]["epoch"] == 2
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
+    def test_empty_table_roundtrips_bitwise(self, tmp_path):
+        config = ModelConfig.from_variant("HATransE-CT", 6, 4)
+        params = ModelParams.init(config, 5, 3, 4, 0, np.random.default_rng(4),
+                                  dtype=np.float32)
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(p1, params, config, HASHES, seed=0, epoch=0)
+        loaded, config2, header = load_checkpoint(p1)
+        assert loaded.meta_relations.shape == (0, 4)
+        save_checkpoint(p2, loaded, config2, header["vocab_hashes"],
+                        header["seed"], header["epoch"])
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_loaded_blocks_own_c_order_float32(self, tmp_path):
+        config, params = make_params()
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, params, config, HASHES, seed=0, epoch=0)
+        loaded = load_checkpoint(path)[0]
+        assert [n for n, _ in loaded.blocks()] == [n for n, _ in params.blocks()]
+        for name, arr in loaded.blocks():
+            assert arr.dtype == np.float32, name
+            assert arr.flags.c_contiguous and arr.flags.writeable, name
+            assert arr.flags.owndata, name
+
+
+class TestMemory:
+    """tracemalloc sees numpy's array buffers, so its peak counts every
+    copy of the parameters a save or a load makes."""
+
+    @pytest.fixture
+    def big(self, tmp_path):
+        config = ModelConfig.from_variant("TransE-CT", 256, 32)
+        params = ModelParams.init(config, 4500, 20, 100, 5,
+                                  np.random.default_rng(3), dtype=np.float32)
+        payload = sum(a.nbytes for _, a in params.blocks())
+        assert payload >= 4 << 20
+        return config, params, payload, tmp_path / "big.ckpt"
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_holds_one_copy_of_the_parameters(self, big):
+        config, params, payload, path = big
+        save_checkpoint(path, params, config, HASHES, seed=0, epoch=0)
+        assert self._peak(lambda: load_checkpoint(path)) < 1.5 * payload
+
+    def test_save_copies_no_block(self, big):
+        config, params, payload, path = big
+        peak = self._peak(lambda: save_checkpoint(path, params, config, HASHES,
+                                                  seed=0, epoch=0))
+        assert peak < 0.1 * payload
+
 
 def _framed(header: bytes) -> bytes:
     return MAGIC + struct.pack("<Q", len(header)) + header
@@ -187,6 +247,31 @@ class TestValidation:
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(p)
         assert str(p) in str(exc.value)
+
+    def test_every_prefix_and_trailing_bytes_rejected(self, tmp_path):
+        config, params = make_params()
+        p = tmp_path / "t.ckpt"
+        save_checkpoint(p, params, config, HASHES, seed=0, epoch=0)
+        good = p.read_bytes()
+        cases = [good[:n] for n in range(len(good))]
+        cases += [good + b"\x00", good + b"\x00\x01\x02\x03"]
+        for bad in cases:
+            p.write_bytes(bad)
+            with pytest.raises(CheckpointError) as exc:
+                load_checkpoint(p)
+            assert str(p) in str(exc.value), len(bad)
+
+    def test_file_shrinking_after_fstat_rejected(self, tmp_path, monkeypatch):
+        config, params = make_params()
+        p = tmp_path / "t.ckpt"
+        save_checkpoint(p, params, config, HASHES, seed=0, epoch=0)
+        p.write_bytes(p.read_bytes()[:-8])
+        fstat = os.fstat
+        monkeypatch.setattr(checkpoint.os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 8))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(p)
+        assert str(exc.value) == f"{p}: file ends inside block 'ha_b'"
 
     @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()],
                              ids=["missing", "directory"])

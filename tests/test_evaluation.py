@@ -429,9 +429,9 @@ def test_block_boundaries_keep_ranks_and_order(kind, monkeypatch):
                          meta_relations=np.zeros((1, 4), np.float32))
     rows = []
     for name in ("score_all_tails", "score_all_heads"):
-        def counted(kind, a, r, b, _f=getattr(evaluation, name)):
+        def counted(kind, a, r, b, *rest, _f=getattr(evaluation, name)):
             rows.append(len(r))
-            return _f(kind, a, r, b)
+            return _f(kind, a, r, b, *rest)
         monkeypatch.setattr(evaluation, name, counted)
     monkeypatch.setattr(evaluation, "BLOCK_ELEMENTS", 3 * n)
     rep = triple_completion_eval(params, kind, TripleStore(test), [train],

@@ -4,7 +4,7 @@ import pytest
 from twoview.diagnostics import check_scorer_gradients
 from twoview.errors import TwoViewError
 from twoview.scoring import (ScorerKind, score, score_all_heads,
-                             score_all_tails, score_grads)
+                             score_all_tails, score_grads, sq_norms)
 
 
 class TestScore:
@@ -101,6 +101,22 @@ class TestVectorizedScoring:
             for j in range(9):
                 assert abs(tails[i, j] - score(kind, h[i], r[i], table[j])) < 1e-9
                 assert abs(heads[i, j] - score(kind, table[j], r[i], t[i])) < 1e-9
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", list(ScorerKind))
+    def test_passed_table_norms_give_same_bits(self, kind, dtype, rng):
+        h, r, t = (rng.normal(size=(4, 6)).astype(dtype) for _ in range(3))
+        table = rng.normal(size=(9, 6)).astype(dtype)
+        table_sq = sq_norms(table)
+        for with_sq, without in (
+                (score_all_tails(kind, h, r, table, table_sq),
+                 score_all_tails(kind, h, r, table)),
+                (score_all_heads(kind, table, r, t, table_sq),
+                 score_all_heads(kind, table, r, t)),
+                (score_all_tails(kind, h[0], r[0], table, table_sq),
+                 score_all_tails(kind, h[0], r[0], table))):
+            assert with_sq.dtype == without.dtype == dtype
+            assert with_sq.tobytes() == without.tobytes()
 
 
 class TestBlockScores:
