@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import json
 import sys
 from itertools import chain
@@ -114,7 +115,7 @@ def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
                 _filter_stores(data, view, settings.filter_mode),
                 view=view, direction=settings.direction, ks=settings.ks)
             reports.append((f"report_triples_{view}.json", rep, columns(data, view)))
-    elif task in ("typing", "longtail"):
+    else:
         links = CrossLinkStore(chain.from_iterable(
             _filter_stores(data, "links", settings.filter_mode)))
         if task == "typing":
@@ -125,8 +126,6 @@ def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
                                  entity_frequency(data.instance_train),
                                  settings.longtail_threshold, links, ks=settings.ks)
         reports.append((f"report_{task}.json", rep, columns(data, "links")))
-    else:
-        raise TwoViewError(f"unknown eval task {task!r}")
 
     for fname, rep, vocabs in reports:
         rep.variant, rep.filter_mode = model.variant, settings.filter_mode
@@ -154,24 +153,9 @@ def cmd_eval(cfg: RunConfig, checkpoint_path, task: str,
 def _resolve(vocab, name: str, what: str) -> int:
     if name in vocab:
         return vocab.id(name)
-    hints = [n for n in vocab.names if _edit_distance(n, name, 2) <= 2][:5]
+    hints = difflib.get_close_matches(name, vocab.names, n=5)
     hint_text = f"; did you mean {hints}?" if hints else ""
     raise UnknownSymbolError(f"unknown {what} {name!r}{hint_text}")
-
-
-def _edit_distance(a: str, b: str, limit: int) -> int:
-    if abs(len(a) - len(b)) > limit:
-        return limit + 1
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                           prev[j - 1] + (ca != cb)))
-        if min(cur) > limit:
-            return limit + 1
-        prev = cur
-    return prev[-1]
 
 
 _ENTITY, _CONCEPT = ("entities", "entity"), ("concepts", "concept")
@@ -220,8 +204,6 @@ def cmd_export(cfg: RunConfig, checkpoint_path, what: str,
                out_file: str | None) -> int:
     data, params, model = _load_for_eval(cfg, checkpoint_path)
     table_name = "meta_relations" if what == "meta" else what
-    if table_name not in VOCABS:
-        raise TwoViewError(f"unknown export target {what!r}")
     vocab, table = getattr(data, table_name), params.table(table_name)
     path = Path(out_file) if out_file else Path(cfg.output_dir) / f"export_{what}.tsv"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -336,9 +318,7 @@ def main(argv=None) -> int:
         if args.command == "predict":
             return cmd_predict(cfg, args.checkpoint, args.query, args.k,
                                args.as_json)
-        if args.command == "export":
-            return cmd_export(cfg, args.checkpoint, args.what, args.file)
-        raise TwoViewError(f"unknown command {args.command!r}")
+        return cmd_export(cfg, args.checkpoint, args.what, args.file)
     except TwoViewError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

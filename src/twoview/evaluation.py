@@ -149,10 +149,9 @@ def _top_k(scores: np.ndarray, k: int | None = None,
     return (ids if kept is None else ids[kept[ids]])[:k].tolist()
 
 
-def _max_norm(table: np.ndarray, sq: np.ndarray | None = None) -> float:
-    """Largest row norm of ``table``, computed in its dtype from its
-    ``sq_norms`` ``sq`` (None: computed here)."""
-    return float(np.sqrt((sq_norms(table) if sq is None else sq).max()))
+def _max_norm(sq: np.ndarray) -> float:
+    """Largest row norm of a table, in its dtype, from its ``sq_norms`` ``sq``."""
+    return float(np.sqrt(sq.max()))
 
 
 def _aggregate(task: str, ranks: list[int], ks=(1, 3, 10), **kw) -> EvalReport:
@@ -180,8 +179,8 @@ def _rank_block(kind: ScorerKind, heads: bool, anchor_rows: np.ndarray,
     ``score_all_*``."""
     fast = (score_all_heads(kind, table, rel_rows, anchor_rows, table_sq) if heads
             else score_all_tails(kind, anchor_rows, rel_rows, table, table_sq))
-    width = rank_slack(kind, anchor_rows, rel_rows, heads, _max_norm(table, table_sq),
-                   fast[np.arange(len(gold)), gold])
+    width = rank_slack(kind, anchor_rows, rel_rows, heads, _max_norm(table_sq),
+                       fast[np.arange(len(gold)), gold])
     del anchor_rows, rel_rows   # not alive while ``exact`` gathers rows
     return _rank(fast, gold, drop, width, exact)
 
@@ -249,7 +248,7 @@ def top_tails(params: ModelParams, kind: ScorerKind, head: int, relation: int,
     kept[_dropped([filter_store], [[head, relation]])[1]] = False
     listed = _top_k(fast, k, kept)
     width = rank_slack(kind, nodes[[head]], edges[[relation]], False,
-                   _max_norm(nodes, nodes_sq), fast[listed[-1:]]) if listed else None
+                       _max_norm(nodes_sq), fast[listed[-1:]]) if listed else None
     if width is None:
         return [(c, float(fast[c])) for c in listed]
     floor = _outward(float(fast[listed[-1]]) - width, fast.dtype, -np.inf)
@@ -278,14 +277,9 @@ def _distances(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.linalg.norm(rows - points, axis=-1)
 
 
-def concept_distances(params: ModelParams, config: ModelConfig, entity,
-                      concepts: np.ndarray | None = None) -> np.ndarray:
-    """(n_c,) distances from the image of an int ``entity`` to every concept,
-    or (k,) ones of each pair of equal-length id arrays ``entity`` and
-    ``concepts``.  Both forms are ``_distances`` of the ``_images`` rows, so
-    a pair equals its entry of the full row bitwise."""
-    rows = params.concepts if concepts is None else params.concepts[concepts]
-    return _distances(_images(params, config, params.entities[entity]), rows)
+def concept_distances(params: ModelParams, config: ModelConfig, entity: int) -> np.ndarray:
+    """(n_c,) ``_distances`` from the ``_images`` row of ``entity`` to every concept."""
+    return _distances(_images(params, config, params.entities[entity]), params.concepts)
 
 
 def entity_typing_eval(params: ModelParams, config: ModelConfig,

@@ -9,6 +9,8 @@ constant and the output is produced by two xor-shift multiplies.
 
 from __future__ import annotations
 
+from .errors import TwoViewError
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -33,7 +35,7 @@ class SplitMix64:
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), unbiased via rejection."""
         if bound <= 0:
-            raise ValueError("bound must be positive")
+            raise TwoViewError("bound must be positive")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             r = self.next_u64()

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .kb import RAW_FILES, CrossLinkStore, KnowledgeBase, TripleStore, Vocab, write_tsv
 
 SUBCLASS = "subclass_of"
@@ -49,10 +50,10 @@ def planted_kb(n_clusters: int = 20, entities_per_cluster: int = 10,
     * a regular ontology triple mirrors every cluster edge.
     """
     if n_clusters % branch_len:
-        raise ValueError("n_clusters must be a multiple of branch_len")
+        raise ConfigError("n_clusters must be a multiple of branch_len")
     if n_clusters % n_relations:
-        raise ValueError("the cycle labels edges r{c % n_relations}, so "
-                         "n_clusters must be a multiple of n_relations")
+        raise ConfigError("the cycle labels edges r{c % n_relations}, so "
+                          "n_clusters must be a multiple of n_relations")
     def ent(cluster: int, i: int) -> int:
         return cluster * entities_per_cluster + i
 

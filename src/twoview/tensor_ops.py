@@ -178,8 +178,6 @@ def project_rows_unit_norm(table: np.ndarray, rows: np.ndarray | list[int]) -> N
     table, in float64: each row divided by sqrt of its ``add.reduce``d
     squares (``np.linalg.norm(axis=1)`` without its ``conj`` copy)."""
     rows = np.asarray(rows, dtype=np.intp)
-    if rows.size == 0:
-        return
     block = table[rows].astype(np.float64, copy=False)   # a copy either way
     norms = np.sqrt(np.add.reduce(block * block, axis=1))
     if np.any(norms == 0.0):

@@ -298,6 +298,21 @@ class TestValidation:
             check_vocab_hashes(header, vocabs)
         assert "entities" in str(exc.value)
 
+    def test_vocab_size_mismatch_refused(self, tmp_path):
+        """A checkpoint whose entity table has one more row than the
+        dataset's vocabulary is refused even under the dataset's own hashes."""
+        config, params = make_params()
+        vocabs = {"entities": Vocab(["a", "b", "c", "d"]),
+                  "relations": Vocab(["r1", "r2", "r3"]),
+                  "concepts": Vocab(["x", "y", "z", "w"]),
+                  "meta_relations": Vocab(["m1", "m2"])}
+        p = tmp_path / "n.ckpt"
+        save_checkpoint(p, params, config, {k: vocab_hash(v) for k, v in vocabs.items()},
+                        seed=0, epoch=0)
+        with pytest.raises(CheckpointError, match="vocabulary size mismatch for 'entities': "
+                                                  "checkpoint has 5, dataset has 4"):
+            check_vocab_hashes(load_checkpoint(p)[2], vocabs)
+
     def test_tampered_header_hash_refused(self, tmp_path):
         config, params = make_params()
         vocabs = {"entities": Vocab(["a", "b", "c", "d", "e"]),

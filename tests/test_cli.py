@@ -372,6 +372,12 @@ def test_removed_or_misspelt_key_rejected(tmp_path, block, key):
     ({"eval": {"longtail_threshold": 0}}, "longtail_threshold"),
     ({"output_dir": 7}, "output_dir"),
     ({"train": {"early_stop_patience": 0}}, "early_stop_patience"),
+    ({"dataset": 3}, "dataset"),
+    ({"model": {"d_e": 8}}, "variant"),
+    ({"model": {"variant": "TransE-XX"}}, "'XX'"),
+    ({"model": {"variant": "TransE"}}, "'TransE'"),
+    ({"train": {"omega": -1}}, "omega"),
+    ({"train": {"learning_rate": 0}}, "learning rate"),
 ])
 def test_invalid_value_error_names_file(tmp_path, cfg, key):
     path = tmp_path / "c.json"
@@ -379,6 +385,31 @@ def test_invalid_value_error_names_file(tmp_path, cfg, key):
     with pytest.raises(ConfigError, match=re.escape(str(path))) as exc:
         load_config(path)
     assert key is None or key in str(exc.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, " does not exist"), ('{"train": ', " is not valid JSON"),
+    ("[]", ": top level block must be a JSON object"),
+], ids=["missing", "malformed", "not-an-object"])
+def test_missing_or_malformed_config_file_is_named(tmp_path, capsys, text, message):
+    path = tmp_path / "c.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config file {path}{message}")
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("prepare", {"dataset": {"links": "links.tsv"}},
+     "config dataset block is missing ['instance_triples', 'ontology_triples']"),
+    ("train", {}, 'config needs a "model" block with a variant'),
+    ("train", {"model": {"variant": "TransE-CT"}}, 'config dataset block needs "split_dir"'),
+], ids=["prepare-raw-files", "train-model", "train-split-dir"])
+def test_command_names_the_config_entry_it_needs(tmp_path, capsys, command, cfg, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_ints_stand_for_floats_and_null_for_no_patience(tmp_path):
@@ -609,6 +640,25 @@ def test_predict_rejects_unknown_kind_and_wrong_name_count(trained, capsys, quer
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("query, label, intended", [
+    (["type", "e07_3x"], "entity", "e07_3"),
+    (["relquery", "concpet07", "concept01"], "concept", "concept07"),
+    (["meta", "concept00", "subclas_of"], "meta-relation", "subclass_of"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_predict_typo_hints_closest_name_first(trained, capsys, query, label, intended):
+    import ast
+    cfg_path, ckpt = trained
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                 *query]) == 2
+    captured = capsys.readouterr()
+    match = re.fullmatch(rf"error: unknown {label} '(\w+)'; did you mean (\[.*\])\?\n",
+                         captured.err)
+    assert match and match.group(1) in query and captured.out == "", captured.err
+    hints = ast.literal_eval(match.group(2))
+    assert hints[0] == intended and len(hints) <= 5
 
 
 @pytest.mark.parametrize("query, answers", [

@@ -56,6 +56,10 @@ class TestRankCandidates:
         with pytest.raises(EvalError):
             rank_candidates({0: 1.0, 1: 0.0}, 0, filter_set={0})
 
+    def test_unscored_gold_rejected(self):
+        with pytest.raises(EvalError, match="gold answer was not scored"):
+            rank_candidates({0: 1.0, 1: 0.0}, 2)
+
     def test_agrees_with_sort_scan_oracle_with_ties(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
@@ -113,6 +117,12 @@ class TestTripleCompletionEval:
         config, params = random_model()
         with pytest.raises(EvalError):
             triple_completion_eval(params, config.intra, TripleStore(), [])
+
+    def test_unknown_direction_rejected(self):
+        config, params = random_model()
+        with pytest.raises(EvalError, match="unknown direction 'head'"):
+            triple_completion_eval(params, config.intra, TripleStore([Triple(0, 0, 1)]),
+                                   [], direction="head")
 
     @pytest.mark.parametrize("kind", list(ScorerKind))
     def test_matches_bruteforce_oracle(self, kind):
@@ -255,6 +265,7 @@ def plant_cancelling_terms(nodes, edges, h, r, rows, rng):
     uses a large share of gamma * sum |terms|.  Returns the row that the
     batched scores misplace by the most candidates lying farther than 1e-3
     of ``rank_slack``'s window from it."""
+    from twoview.scoring import sq_norms
     kind = ScorerKind.MULTIPLICATIVE
     d = nodes.shape[1]
     v = nodes[h].astype(np.float64) * edges[r]
@@ -267,7 +278,7 @@ def plant_cancelling_terms(nodes, edges, h, r, rows, rng):
     fast = score_all_tails(kind, nodes[h], edges[r], nodes).astype(np.float64)
     exact = np.array([score(kind, nodes[h], edges[r], row) for row in nodes])
     width = rank_slack(kind, nodes[[h]], edges[[r]], False,
-                       evaluation._max_norm(nodes), fast[[0]])[0]
+                       evaluation._max_norm(sq_norms(nodes)), fast[[0]])[0]
 
     def misplaced(g):
         far = np.abs(fast - fast[g]) > 1e-3 * width
@@ -379,6 +390,29 @@ def test_top_tails_exact_at_k_boundary(kind):
     want = oracle()[:k]
     assert twin in [c for c, _ in oracle()[:k + 1]]
     assert top_tails(params, kind, h, r, k, filter_store=store) == want
+
+
+def test_top_tails_without_a_window():
+    """HolE has no rank window: its list is the top k of the batched
+    ``score_all_tails`` over the unfiltered candidates, ties by ascending id,
+    with the batched scores.  A filter store holding every candidate leaves
+    nothing to list."""
+    config, params = random_model(variant="HolE-CT", seed=15)
+    kind, nodes, edges = config.intra, params.entities, params.relations
+    h, r, k, n = 2, 1, 6, len(nodes)
+    fast = score_all_tails(kind, nodes[h], edges[r], nodes)
+    best = int(np.argmax(fast))
+    nodes[[9, 3]] = nodes[best]         # tied with the best, which is filtered
+    fast = score_all_tails(kind, nodes[h], edges[r], nodes)
+    store = TripleStore([Triple(h, r, c) for c in (best, 0, 5)])
+    kept = [c for c in range(n) if (h, r, c) not in store]
+    want = [(c, float(fast[c])) for c in sorted(kept, key=lambda c: (-fast[c], c))[:k]]
+    assert want[:2] == [(3, fast[best]), (9, fast[best])]
+    assert top_tails(params, kind, h, r, k, filter_store=store) == want
+
+    config, params = random_model(variant="TransE-CT", seed=15)
+    every = TripleStore([Triple(h, r, c) for c in range(n)])
+    assert top_tails(params, config.intra, h, r, k, filter_store=every) == []
 
 
 def test_filter_keys_are_built_on_first_use_and_kept(tmp_path):
@@ -601,15 +635,14 @@ def typing_oracle(params, config, test, train):
 
 class TestTypingExactness:
     @pytest.mark.parametrize("variant, d_e", [("TransE-CT", 300), ("TransE-CG", 50)])
-    def test_pairs_equal_full_rows_bitwise(self, variant, d_e):
+    def test_block_image_pairs_equal_full_rows_bitwise(self, variant, d_e):
         config, params, _, _ = planted_typing(variant, d_e, n_links=10)
         rng = np.random.default_rng(1)
         ents = rng.integers(0, params.entities.shape[0], size=200)
         cs = rng.integers(0, params.concepts.shape[0], size=200)
-        pairs = concept_distances(params, config, ents, cs)
         full = np.stack([concept_distances(params, config, int(e)) for e in ents])
-        assert pairs.dtype == full.dtype == np.float32
-        assert pairs.tobytes() == full[np.arange(200), cs].tobytes()
+        pairs = full[np.arange(200), cs]
+        assert full.dtype == np.float32
         # typing's re-score: the kernel on rows gathered from one block's images
         block = np.unique(ents)
         points = evaluation._images(params, config, params.entities[block])
@@ -704,6 +737,13 @@ class TestLongTailEval:
                                 data.links_train)
         assert sliced.mrr == full.mrr
         assert sliced.n_queries == full.n_queries
+
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_threshold_below_one_rejected(self, threshold):
+        config, params, data, freq = self._setup()
+        with pytest.raises(EvalError, match=f"threshold must be >= 1, got {threshold}"):
+            long_tail_eval(params, config, data.links_test, freq, threshold,
+                           data.links_train)
 
     def test_threshold_one_empty_slice(self):
         config, params, data, freq = self._setup()

@@ -389,6 +389,15 @@ def test_store_rejects_bad_rows(rows):
         TripleStore(rows)
 
 
+def test_store_refuses_ids_too_wide_for_one_key():
+    """A row's ids pack into one int64 key: 21 bits per column fit, and one
+    more bit in any column does not."""
+    wide = 2**21 - 1
+    assert Triple(wide, wide, wide) in TripleStore([(wide, wide, wide)])
+    with pytest.raises(TwoViewError, match=r"too large to pack into one int64 key \(\(22, 21, 21\)"):
+        TripleStore([(wide + 1, wide, wide)])
+
+
 def test_extract_hierarchy_rows():
     m = Vocab(["sub", "rel", "part"])
     onto = TripleStore([Triple(3, 0, 1), Triple(2, 1, 3), Triple(4, 2, 1),

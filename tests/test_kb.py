@@ -29,6 +29,12 @@ def test_splitmix64_reference_values():
     assert rng.next_u64() == 3203168211198807973
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_splitmix64_below_refuses_an_empty_range(bound):
+    with pytest.raises(TwoViewError, match="bound must be positive"):
+        SplitMix64(1).below(bound)
+
+
 def test_fisher_yates_deterministic():
     a = list(range(10))
     b = list(range(10))
@@ -259,3 +265,13 @@ SYNTH_SHA256 = {
 def test_synth_kbs_are_pinned(call):
     build, digest = SYNTH_SHA256[call]
     assert _kb_sha256(build()) == digest
+
+
+@pytest.mark.parametrize("shape, message", [
+    ({"n_clusters": 12}, "multiple of branch_len"),
+    ({"n_clusters": 20, "n_relations": 8}, "multiple of n_relations"),
+], ids=["branch_len", "n_relations"])
+def test_planted_kb_refuses_a_shape_it_cannot_plant(shape, message):
+    from twoview.errors import ConfigError
+    with pytest.raises(ConfigError, match=message):
+        planted_kb(**shape)

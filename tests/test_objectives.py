@@ -245,6 +245,10 @@ class TestCombine:
         assert combine_total(2.0, 3.0, 1.0) == 5.0
         assert combine_total(0.0, 4.0, 0.5) == 2.0
 
+    def test_total_negative_omega_rejected(self):
+        with pytest.raises(ConfigError, match="omega must be >= 0"):
+            combine_total(2.0, 3.0, -0.5)
+
 
 class TestMarginsAndWeights:
     def test_margin_defaults_by_kind(self):
@@ -259,6 +263,10 @@ class TestMarginsAndWeights:
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ConfigError):
             LossWeights(alpha1=0.0)
+
+    def test_negative_omega_rejected(self):
+        with pytest.raises(ConfigError, match="omega must be >= 0"):
+            LossWeights(omega=-1.0)
 
 
 class TestGradAccum:
@@ -481,6 +489,12 @@ class TestIdGate:
                 ids[0] = -1
         src[0, 0] = 5
         assert triples.pos.tolist() == [[0, 1, 2]]
+
+    def test_sides_of_unequal_length_rejected(self):
+        for call in (lambda: TripleBatch([(0, 1, 2)], [(1, 1, 2), (2, 1, 2)]),
+                     lambda: PairBatch([(0, 1), (2, 3)], [4])):
+            with pytest.raises(TwoViewError, match="lists must be parallel"):
+                call()
 
     def test_pull_only_cg_only_without_negatives(self):
         """``cg_loss`` reads its form off the batch; CT and HA need negatives."""

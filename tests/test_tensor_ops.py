@@ -48,6 +48,33 @@ class TestInitUnitSphere:
         with pytest.raises(TwoViewError):
             init_unit_sphere(3, 0, rng)
 
+    def test_negative_count_rejected(self, rng):
+        with pytest.raises(TwoViewError, match="count must be >= 0, got -1"):
+            init_unit_sphere(-1, 3, rng)
+
+    def test_zero_norm_row_is_drawn_again(self):
+        """A row drawn at zero norm, and only that row, is replaced by the
+        generator's next draw."""
+        class FirstDrawHasZeroRow:
+            def __init__(self):
+                self.rng, self.shapes = np.random.default_rng(5), []
+
+            def standard_normal(self, shape):
+                out = self.rng.standard_normal(shape)
+                if not self.shapes:
+                    out[1] = 0.0
+                self.shapes.append(shape)
+                return out
+
+        stub = FirstDrawHasZeroRow()
+        vecs = init_unit_sphere(4, 3, stub, np.float64)
+        assert stub.shapes == [(4, 3), (1, 3)]
+        rng = np.random.default_rng(5)
+        want = rng.standard_normal((4, 3))
+        want[1] = rng.standard_normal((1, 3))
+        want /= np.linalg.norm(want, axis=1)[:, None]
+        assert vecs.tobytes() == want.tobytes()
+
 
 class TestInitOrthogonal:
     def test_square_orthonormal(self, rng):
@@ -220,6 +247,11 @@ class TestAffineTanh:
 
 
 class TestAffineTanhPinv:
+    def test_dim_mismatch(self):
+        m = AffineMap(np.zeros((3, 4)), np.zeros(3))
+        with pytest.raises(TwoViewError, match="target dim 4 does not match"):
+            affine_tanh_pinv(m, np.zeros(4))
+
     def test_identity_map_inverts(self, rng):
         m = AffineMap(np.eye(6), np.zeros(6))
         x = np.clip(rng.normal(size=6), -2.9, 2.9)
@@ -306,6 +338,12 @@ class TestProjectUnitNorm:
         assert np.array_equal(table[4], before[4])
         assert abs(np.linalg.norm(table[1].astype(np.float64)) - 1) < 1e-6
 
+    @pytest.mark.parametrize("rows", [[], np.empty(0, np.int64)], ids=["list", "array"])
+    def test_no_rows_leave_the_table_unchanged(self, rng, rows):
+        table = rng.normal(size=(5, 4)).astype(np.float32)
+        before = table.tobytes()
+        project_rows_unit_norm(table, rows)
+        assert table.tobytes() == before
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bytes_equal_linalg_norm_projection(self, rng, dtype):
@@ -340,3 +378,11 @@ class TestFiniteDiffCheck:
     def test_nonfinite_loss_rejected(self):
         with pytest.raises(TwoViewError):
             finite_diff_check(lambda x: float("nan"), np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("grad, eps, message", [
+        (np.zeros(2), 0.0, "eps must be positive"),
+        (np.zeros(3), 1e-5, r"gradient shape \(3,\) != point shape \(2,\)"),
+    ], ids=["eps", "shape"])
+    def test_bad_step_or_gradient_shape_rejected(self, grad, eps, message):
+        with pytest.raises(TwoViewError, match=message):
+            finite_diff_check(lambda x: float(x @ x), grad, np.zeros(2), eps)

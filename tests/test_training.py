@@ -38,6 +38,11 @@ _INIT_SHA256 = {
 }
 
 
+def test_unknown_table_name_rejected():
+    with pytest.raises(ConfigError, match="unknown parameter table 'maps'"):
+        small_params().table("maps")
+
+
 @pytest.mark.parametrize("variant", all_variants())
 def test_init_follows_the_layout(variant):
     """``init`` draws the same bytes in the same order, its blocks have the
@@ -321,11 +326,41 @@ class TestTrainEpoch:
         assert np.array_equal(params.ct_map.b, b_before)
         assert report.n_cross == 0
 
+    @pytest.mark.parametrize("hierarchy", [None, HierarchyStore()], ids=["none", "empty"])
+    def test_ha_without_hierarchy_pairs_rejected(self, synth_data, hierarchy):
+        _, _, data = synth_data
+        model = ModelConfig.from_variant("HATransE-CT", 16, 8)
+        params = ModelParams.init(model, len(data.entities), len(data.relations),
+                                  len(data.concepts), len(data.meta_relations),
+                                  np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="requires extracted hierarchy pairs"):
+            train_epoch(params, OptimizerState.init(params), data, model, quick_config(),
+                        np.random.default_rng(0), hierarchy=hierarchy)
+
 
 class TestTrain:
     def test_epochs_validated(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
+
+    def test_saturated_sampling_is_logged(self, caplog):
+        """Where every corruption of a positive is itself a training triple,
+        ``train`` logs how many times negative sampling saturated."""
+        from twoview.kb import Vocab
+        from twoview.training import SplitDataset
+        every = TripleStore([Triple(h, 0, t) for h in range(2) for t in range(2)])
+        data = SplitDataset(
+            entities=Vocab(["a", "b"]), relations=Vocab(["r"]),
+            concepts=Vocab(["x", "y"]), meta_relations=Vocab(["m"]),
+            instance_train=every, instance_valid=TripleStore(), instance_test=TripleStore(),
+            ontology_train=every, ontology_valid=TripleStore(), ontology_test=TripleStore(),
+            links_train=CrossLinkStore([(0, 0), (1, 1)]), links_test=CrossLinkStore())
+        model = ModelConfig.from_variant("TransE-CT", 6, 4)
+        with caplog.at_level("WARNING", logger="twoview.training"):
+            train(data, model, quick_config(epochs=2))
+        assert caplog.messages == [
+            "negative sampling saturated 16 time(s); the graph may be too dense "
+            "for valid negatives"]
 
     def test_history_length(self, synth_data):
         _, _, data = synth_data
